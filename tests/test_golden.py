@@ -1,0 +1,126 @@
+"""Golden corpus: ``starpar lts`` and ``starpar encode`` output, byte for byte.
+
+The files under ``tests/golden/`` hold the exact CLI output of a fixed set of
+inputs.  They are the reference: a change to derivation, rendering or
+serialisation must reproduce them unchanged.  To capture a *new* case, add it
+below and run ``python -m tests.test_golden --write`` from the repository
+root; existing files are never overwritten.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from starpar import automaton_to_json, dump_comm_fn
+from starpar.cli import run
+from tests.samples import (
+    COMMUNICATING_LOOP_EXPR,
+    CYCLE_COUNTEREXAMPLE_PAR,
+    CYCLE_COUNTEREXAMPLE_SEQ,
+    DEAD_BRANCH_LOOP_EXPR,
+    INTERLEAVED_LOOP_EXPR,
+    SHARED_EXIT_LOOP_EXPR,
+    TWO_EXIT_LOOP_EXPR,
+    communicating_gamma,
+    four_state_fa,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+STAR_LOOPS_3 = "(a.b+c)*.d||(e.f)*.(g+h)||(i+j.k)*.l"
+
+# name -> (expression, gamma file text or None)
+LTS_CASES = {
+    "two_exit_loop": (TWO_EXIT_LOOP_EXPR, None),
+    "shared_exit_loop": (SHARED_EXIT_LOOP_EXPR, None),
+    "dead_branch_loop": (DEAD_BRANCH_LOOP_EXPR, None),
+    "interleaved_loop": (INTERLEAVED_LOOP_EXPR, None),
+    "communicating_loop": (COMMUNICATING_LOOP_EXPR, None),
+    "communicating_loop_gamma": (COMMUNICATING_LOOP_EXPR, dump_comm_fn(communicating_gamma())),
+    "cycle_counterexample_seq": (CYCLE_COUNTEREXAMPLE_SEQ, None),
+    "cycle_counterexample_par": (CYCLE_COUNTEREXAMPLE_PAR, None),
+    "star_loops_3": (STAR_LOOPS_3, None),
+    "star_loops_3_handshake": (STAR_LOOPS_3, "c f -> sync\n"),
+}
+
+ENCODE_FILES = ("expression.txt", "gamma.txt", "manifest.json")
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    assert code == 0, f"starpar {' '.join(argv)} exited with {code}"
+    return out.getvalue()
+
+
+def _lts(expr: str, gamma_path: Path | None, fmt: str) -> str:
+    argv = ["lts", "-e", expr, "--format", fmt]
+    if gamma_path is not None:
+        argv += ["--gamma", str(gamma_path)]
+    return _cli(argv)
+
+
+def _lts_outputs(name: str, workdir: Path) -> dict[str, str]:
+    expr, gamma = LTS_CASES[name]
+    gamma_path = None
+    if gamma is not None:
+        gamma_path = workdir / f"{name}.gamma"
+        gamma_path.write_text(gamma)
+    return {f"{name}.{fmt}": _lts(expr, gamma_path, fmt) for fmt in ("json", "dot")}
+
+
+def _encode_outputs(workdir: Path) -> dict[str, str]:
+    fa_path = workdir / "four_state_fa.json"
+    fa_path.write_text(automaton_to_json(four_state_fa()))
+    out_dir = workdir / "encoded"
+    _cli(["encode", str(fa_path), "-o", str(out_dir)])
+    outputs = {f"four_state_fa/{f}": (out_dir / f).read_text() for f in ENCODE_FILES}
+    expr = outputs["four_state_fa/expression.txt"].strip()
+    gamma_path = out_dir / "gamma.txt"
+    for fmt in ("json", "dot"):
+        outputs[f"four_state_fa/lts.{fmt}"] = _lts(expr, gamma_path, fmt)
+    return outputs
+
+
+def _golden(relative: str) -> str:
+    return (GOLDEN / relative).read_bytes().decode()
+
+
+@pytest.mark.parametrize("name", sorted(LTS_CASES))
+def test_lts_output_matches_golden(name, tmp_path):
+    for relative, text in _lts_outputs(name, tmp_path).items():
+        assert text == _golden(relative), relative
+
+
+def test_encode_output_matches_golden(tmp_path):
+    for relative, text in _encode_outputs(tmp_path).items():
+        assert text == _golden(relative), relative
+
+
+def _write_missing(workdir: Path) -> None:
+    outputs = {}
+    for name in LTS_CASES:
+        outputs.update(_lts_outputs(name, workdir))
+    outputs.update(_encode_outputs(workdir))
+    for relative, text in sorted(outputs.items()):
+        path = GOLDEN / relative
+        if path.exists():
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(text.encode())
+        print(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_golden --write")
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_missing(Path(tmp))
