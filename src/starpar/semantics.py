@@ -26,7 +26,8 @@ from .syntax import (
     Seq,
     Star,
     parse_expression,
-    render_expression,
+    render_expression,  # noqa: F401 - perfbench/tracing.py wraps the name here
+    render_memoised,
 )
 
 DEFAULT_MAX_STATES = 100_000
@@ -44,20 +45,88 @@ class AutomatonFormatError(ValueError):
     """Malformed automaton JSON."""
 
 
+class _Rules:
+    """The SOS rules, memoised per expression node.
+
+    ``terminates`` and ``step`` remember every node they have decided, so a
+    subterm shared by many states is stepped once.  The memo dicts belong to
+    the instance: one ``derive_automaton`` call, or one call of the public
+    ``step`` or ``terminates``.  Nothing is cached across calls, and the step
+    memo only ever sees the one communication function it was built with.
+    Each rule recurses straight into the same method, one frame per nesting
+    level.
+    """
+
+    __slots__ = ("comm", "_terminates", "_steps")
+
+    def __init__(self, comm: CommFn):
+        self.comm = comm
+        self._terminates: dict[Expression, bool] = {}
+        self._steps: dict[Expression, frozenset[tuple[Action, Expression]]] = {}
+
+    def terminates(self, e: Expression) -> bool:
+        done = self._terminates.get(e)
+        if done is not None:
+            return done
+        match e:
+            case Empty() | Star():
+                done = True
+            case Deadlock() | Act():
+                done = False
+            case Alt(left, right):
+                done = self.terminates(left) or self.terminates(right)
+            case Seq(left, right) | Par(left, right):
+                done = self.terminates(left) and self.terminates(right)
+            case Encap(_, body):
+                done = self.terminates(body)
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
+        self._terminates[e] = done
+        return done
+
+    def step(self, e: Expression) -> frozenset[tuple[Action, Expression]]:
+        moves = self._steps.get(e)
+        if moves is not None:
+            return moves
+        match e:
+            case Deadlock() | Empty():
+                moves = frozenset()
+            case Act(action):
+                moves = frozenset({(action, EMPTY)})
+            case Alt(left, right):
+                moves = self.step(left) | self.step(right)
+            case Seq(left, right):
+                found = {(a, Seq(left2, right)) for a, left2 in self.step(left)}
+                if self.terminates(left):
+                    found |= self.step(right)
+                moves = frozenset(found)
+            case Star(body):
+                moves = frozenset({(a, Seq(body2, e)) for a, body2 in self.step(body)})
+            case Par(left, right):
+                lsteps = self.step(left)
+                rsteps = self.step(right)
+                found = {(a, Par(left2, right)) for a, left2 in lsteps}
+                found |= {(a, Par(left, right2)) for a, right2 in rsteps}
+                lookup = self.comm.lookup
+                for a, left2 in lsteps:
+                    for b, right2 in rsteps:
+                        c = lookup(a, b)
+                        if c is not None:
+                            found.add((c, Par(left2, right2)))
+                moves = frozenset(found)
+            case Encap(blocked, body):
+                moves = frozenset(
+                    {(a, Encap(blocked, body2)) for a, body2 in self.step(body) if a not in blocked}
+                )
+            case _:
+                raise TypeError(f"not an expression: {e!r}")
+        self._steps[e] = moves
+        return moves
+
+
 def terminates(e: Expression) -> bool:
     """Decide the termination predicate on expressions."""
-    match e:
-        case Empty() | Star():
-            return True
-        case Deadlock() | Act():
-            return False
-        case Alt(left, right):
-            return terminates(left) or terminates(right)
-        case Seq(left, right) | Par(left, right):
-            return terminates(left) and terminates(right)
-        case Encap(_, body):
-            return terminates(body)
-    raise TypeError(f"not an expression: {e!r}")
+    return _Rules(EMPTY_COMM).terminates(e)
 
 
 def step(e: Expression, comm: CommFn = EMPTY_COMM) -> frozenset[tuple[Action, Expression]]:
@@ -66,38 +135,10 @@ def step(e: Expression, comm: CommFn = EMPTY_COMM) -> frozenset[tuple[Action, Ex
     A parallel composition interleaves its components and, when ``comm`` is
     defined on a pair of simultaneously enabled actions, also offers the
     communication step labelled with the result.  Passing the empty
-    communication function gives the pure interleaving semantics.
+    communication function gives the pure interleaving semantics.  The
+    subterm memo lives for this one call only.
     """
-    match e:
-        case Deadlock() | Empty():
-            return frozenset()
-        case Act(action):
-            return frozenset({(action, EMPTY)})
-        case Alt(left, right):
-            return step(left, comm) | step(right, comm)
-        case Seq(left, right):
-            moves = {(a, Seq(left2, right)) for a, left2 in step(left, comm)}
-            if terminates(left):
-                moves |= step(right, comm)
-            return frozenset(moves)
-        case Star(body):
-            return frozenset({(a, Seq(body2, e)) for a, body2 in step(body, comm)})
-        case Par(left, right):
-            lsteps = step(left, comm)
-            rsteps = step(right, comm)
-            moves = {(a, Par(left2, right)) for a, left2 in lsteps}
-            moves |= {(a, Par(left, right2)) for a, right2 in rsteps}
-            for a, left2 in lsteps:
-                for b, right2 in rsteps:
-                    c = comm.lookup(a, b)
-                    if c is not None:
-                        moves.add((c, Par(left2, right2)))
-            return frozenset(moves)
-        case Encap(blocked, body):
-            return frozenset(
-                {(a, Encap(blocked, body2)) for a, body2 in step(body, comm) if a not in blocked}
-            )
-    raise TypeError(f"not an expression: {e!r}")
+    return _Rules(comm).step(e)
 
 
 @dataclass(frozen=True, order=True)
@@ -105,6 +146,10 @@ class Transition:
     source: int
     action: Action
     target: int
+
+
+def _transition_key(t: Transition) -> tuple[int, str, int]:
+    return (t.source, t.action.name, t.target)
 
 
 @dataclass(frozen=True)
@@ -123,7 +168,9 @@ class Automaton:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "transitions", tuple(sorted(set(self.transitions))))
+        object.__setattr__(
+            self, "transitions", tuple(sorted(set(self.transitions), key=_transition_key))
+        )
         object.__setattr__(self, "terminating", frozenset(self.terminating))
         n = len(self.labels)
         if n == 0:
@@ -176,35 +223,38 @@ def derive_automaton(
     States are numbered in discovery order, with each state's successors
     explored sorted by (action name, rendered successor); labels carry the
     rendered expressions.  Raises StateLimitExceeded once more than
-    ``max_states`` distinct expressions have been reached.
+    ``max_states`` distinct expressions have been reached.  Termination,
+    steps and labels are memoised per subterm for this call only; the memo
+    is dropped when it returns.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
-    rendered: dict[Expression, str] = {e: render_expression(e)}
+    rules = _Rules(comm)
+    rendered: dict[Expression, str] = {}
     index: dict[Expression, int] = {e: 0}
-    labels: list[str] = [rendered[e]]
+    labels: list[str] = [render_memoised(e, rendered)]
     queue: deque[Expression] = deque([e])
     transitions: list[Transition] = []
     terminating: set[int] = set()
     while queue:
         current = queue.popleft()
         source = index[current]
-        if terminates(current):
+        if rules.terminates(current):
             terminating.add(source)
-        successors = []
-        for action, target in step(current, comm):
-            if target not in rendered:
-                rendered[target] = render_expression(target)
-            successors.append((action.name, rendered[target], action, target))
+        successors = [
+            (action.name, render_memoised(target, rendered), action, target)
+            for action, target in rules.step(current)
+        ]
         successors.sort(key=lambda item: (item[0], item[1]))
-        for _, _, action, target in successors:
-            if target not in index:
+        for _, label, action, target in successors:
+            target_index = index.get(target)
+            if target_index is None:
                 if len(index) >= max_states:
                     raise StateLimitExceeded(max_states)
-                index[target] = len(index)
-                labels.append(rendered[target])
+                target_index = index[target] = len(index)
+                labels.append(label)
                 queue.append(target)
-            transitions.append(Transition(source, action, index[target]))
+            transitions.append(Transition(source, action, target_index))
     return Automaton(
         labels=tuple(labels),
         initial=0,
@@ -248,6 +298,11 @@ def automaton_to_json(a: Automaton) -> str:
     return json.dumps(automaton_to_dict(a), indent=2) + "\n"
 
 
+def _is_state_id(value: object) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not state ids.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def automaton_from_dict(obj: object) -> Automaton:
     if not isinstance(obj, dict):
         raise AutomatonFormatError("top level must be an object")
@@ -263,7 +318,7 @@ def automaton_from_dict(obj: object) -> Automaton:
     terminating = set()
     seen_ids = set()
     for entry in raw_states:
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
+        if not isinstance(entry, dict) or not _is_state_id(entry.get("id")):
             raise AutomatonFormatError("each state needs an integer 'id'")
         i = entry["id"]
         if not 0 <= i < len(raw_states) or i in seen_ids:
@@ -273,9 +328,12 @@ def automaton_from_dict(obj: object) -> Automaton:
         if label is not None and not isinstance(label, str):
             raise AutomatonFormatError(f"state {i}: 'label' must be a string")
         labels[i] = label
-        if entry.get("terminating", False):
+        flag = entry.get("terminating", False)
+        if not isinstance(flag, bool):
+            raise AutomatonFormatError(f"state {i}: 'terminating' must be true or false")
+        if flag:
             terminating.add(i)
-    if not isinstance(initial, int):
+    if not _is_state_id(initial):
         raise AutomatonFormatError("'initial' must be an integer state id")
     if not isinstance(raw_transitions, list):
         raise AutomatonFormatError("'transitions' must be an array")
@@ -287,7 +345,7 @@ def automaton_from_dict(obj: object) -> Automaton:
             source, name, target = entry["from"], entry["action"], entry["to"]
         except KeyError as exc:
             raise AutomatonFormatError(f"transition missing key {exc.args[0]!r}") from exc
-        if not isinstance(source, int) or not isinstance(target, int) or not isinstance(name, str):
+        if not _is_state_id(source) or not _is_state_id(target) or not isinstance(name, str):
             raise AutomatonFormatError(f"malformed transition {entry!r}")
         try:
             action = Action(name)

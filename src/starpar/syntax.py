@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -46,50 +47,73 @@ class Action:
 
 
 class Expression:
-    """Base class of the eight expression variants."""
+    """Base class of the eight expression variants.
 
-    __slots__ = ()
+    A node's hash is computed on the first ``hash()`` call and kept in the
+    node, so a dict lookup costs one hash of the root instead of a walk of the
+    whole tree.  The cached value is not a field: ``==``, ``repr`` and pattern
+    matching see only the node's structure.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        value = getattr(self, "_hash", None)
+        if value is None:
+            value = hash((type(self), self._fields_of(self)))
+            object.__setattr__(self, "_hash", value)
+        return value
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """Frozen slotted dataclass hashed by the cached ``Expression.__hash__``."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Expression.__hash__
+    # Field values fetched in C, so hashing a fresh tree recurses through
+    # __hash__ alone.  Deadlock and Empty have no fields: the class is the value.
+    cls._fields_of = attrgetter(*cls.__match_args__ or ("__class__",))
+    return cls
+
+
+@_node
 class Deadlock(Expression):
     """The process with no transitions and no termination, written ``0``."""
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Empty(Expression):
     """The successfully terminated process, written ``1``."""
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Act(Expression):
     action: Action
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Seq(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Alt(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Star(Expression):
     body: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Par(Expression):
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Encap(Expression):
     blocked: frozenset[Action]
     body: Expression
@@ -298,60 +322,50 @@ _PREC_STAR = 4
 _PREC_ATOM = 5
 
 
-def _prec(e: Expression) -> int:
-    if isinstance(e, Alt):
-        return _PREC_ALT
-    if isinstance(e, Par):
-        return _PREC_PAR
-    if isinstance(e, Seq):
-        return _PREC_SEQ
-    if isinstance(e, Star):
-        return _PREC_STAR
-    return _PREC_ATOM
+_PREC = {Alt: _PREC_ALT, Par: _PREC_PAR, Seq: _PREC_SEQ, Star: _PREC_STAR}
+_INFIX = {Alt: "+", Par: "||", Seq: "."}
+
+
+def _wrap(text: str, node: Expression, minimum: int) -> str:
+    return f"({text})" if _PREC.get(type(node), _PREC_ATOM) < minimum else text
 
 
 def render_expression(e: Expression) -> str:
     """Concrete syntax with minimal parentheses; ``parse(render(e)) == e``."""
-    out: list[str] = []
+    return render_memoised(e, {})
 
-    def rend(node: Expression, minimum: int) -> None:
-        wrap = _prec(node) < minimum
-        if wrap:
-            out.append("(")
-        if isinstance(node, Deadlock):
-            out.append("0")
-        elif isinstance(node, Empty):
-            out.append("1")
-        elif isinstance(node, Act):
-            out.append(node.action.name)
-        elif isinstance(node, Seq):
-            rend(node.left, _PREC_SEQ)
-            out.append(".")
-            rend(node.right, _PREC_SEQ + 1)
-        elif isinstance(node, Alt):
-            rend(node.left, _PREC_ALT)
-            out.append("+")
-            rend(node.right, _PREC_ALT + 1)
-        elif isinstance(node, Par):
-            rend(node.left, _PREC_PAR)
-            out.append("||")
-            rend(node.right, _PREC_PAR + 1)
-        elif isinstance(node, Star):
-            rend(node.body, _PREC_STAR)
-            out.append("*")
-        elif isinstance(node, Encap):
-            out.append("encap{")
-            out.append(",".join(sorted(a.name for a in node.blocked)))
-            out.append("}(")
-            rend(node.body, _PREC_ALT)
-            out.append(")")
-        else:  # pragma: no cover
-            raise TypeError(f"not an expression: {node!r}")
-        if wrap:
-            out.append(")")
 
-    rend(e, _PREC_ALT)
-    return "".join(out)
+def render_memoised(e: Expression, memo: dict[Expression, str]) -> str:
+    """``render_expression`` of ``e``, reusing and extending ``memo``, which
+    maps every subterm rendered so far to its text without outer parentheses.
+
+    States derived from one expression share most of their subterms, so one
+    memo per derivation renders each distinct subterm once.
+    """
+    text = memo.get(e)
+    if text is not None:
+        return text
+    kind = type(e)
+    if kind in _INFIX:
+        left = render_memoised(e.left, memo)
+        right = render_memoised(e.right, memo)
+        precedence = _PREC[kind]
+        text = _wrap(left, e.left, precedence) + _INFIX[kind] + _wrap(right, e.right, precedence + 1)
+    elif kind is Star:
+        text = _wrap(render_memoised(e.body, memo), e.body, _PREC_STAR) + "*"
+    elif kind is Act:
+        text = e.action.name
+    elif kind is Empty:
+        text = "1"
+    elif kind is Deadlock:
+        text = "0"
+    elif kind is Encap:
+        blocked = ",".join(sorted(a.name for a in e.blocked))
+        text = f"encap{{{blocked}}}({render_memoised(e.body, memo)})"
+    else:  # pragma: no cover
+        raise TypeError(f"not an expression: {e!r}")
+    memo[e] = text
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +376,27 @@ def render_expression(e: Expression) -> str:
 class CommFn:
     """Finite commutative partial communication function on actions.
 
-    Entries are keyed on unordered action pairs, so commutativity holds by
-    construction; associativity and handshaking are checked separately by
+    Every rule is stored under both orderings of its action pair, so
+    commutativity holds by construction and a lookup is one tuple key;
+    associativity and handshaking are checked separately by
     :func:`validate_comm_fn`.  Instances are immutable.
     """
 
     __slots__ = ("_table",)
 
     def __init__(self, rules: Iterable[tuple[Action, Action, Action]] = ()):
-        table: dict[frozenset[Action], Action] = {}
+        table: dict[tuple[Action, Action], Action] = {}
         for a, b, result in rules:
-            key = frozenset((a, b))
-            previous = table.get(key)
+            previous = table.get((a, b))
             if previous is not None and previous != result:
                 raise CommFnError(
                     f"conflicting rules for {{{a}, {b}}}: {previous} vs {result}"
                 )
-            table[key] = result
+            table[a, b] = table[b, a] = result
         self._table = table
 
     def lookup(self, a: Action, b: Action) -> Action | None:
-        return self._table.get(frozenset((a, b)))
+        return self._table.get((a, b))
 
     @property
     def is_empty(self) -> bool:
@@ -390,15 +404,10 @@ class CommFn:
 
     def pairs(self) -> list[tuple[Action, Action, Action]]:
         """All rules as (a, b, result) with a <= b, sorted."""
-        rules = []
-        for key, result in self._table.items():
-            members = sorted(key)
-            a, b = (members[0], members[-1])
-            rules.append((a, b, result))
-        return sorted(rules)
+        return sorted((a, b, result) for (a, b), result in self._table.items() if a <= b)
 
     def arguments(self) -> frozenset[Action]:
-        return frozenset(a for key in self._table for a in key)
+        return frozenset(a for a, _ in self._table)
 
     def results(self) -> frozenset[Action]:
         return frozenset(self._table.values())

@@ -204,6 +204,15 @@ class TestUsage:
         path.write_text("{\"nope\": 1}")
         assert run(["scc", str(path)]) == 2
 
+    def test_boolean_state_ids_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"states":[{"id":0,"terminating":"no"},{"id":1}],"initial":true,'
+            '"transitions":[{"from":false,"action":"a","to":true}]}'
+        )
+        assert run(["scc", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_invalid_gamma_reported(self, tmp_path, capsys):
         gamma_path = tmp_path / "gamma.txt"
         gamma_path.write_text("a b -> c\nc d -> e\nb d -> x\n")

@@ -164,6 +164,44 @@ class TestDerive:
         assert list(auto.transitions) == sorted(auto.transitions)
 
 
+class TestMemoLifetime:
+    """Termination, steps and labels are memoised per call, never across calls."""
+
+    def test_comm_does_not_leak_between_derivations(self):
+        e = parse_expression(COMMUNICATING_LOOP_EXPR)
+        gamma = communicating_gamma()
+        plain = derive_automaton(e, EMPTY_COMM)
+        communicating = derive_automaton(e, gamma)
+        assert plain != communicating
+        assert derive_automaton(e, EMPTY_COMM) == plain
+        assert derive_automaton(e, gamma) == communicating
+
+    def test_step_agrees_with_a_fresh_derivation_for_each_comm(self):
+        e = parse_expression(COMMUNICATING_LOOP_EXPR)
+        for comm in (EMPTY_COMM, communicating_gamma(), EMPTY_COMM):
+            auto = derive_automaton(e, comm)
+            states = state_expressions(auto)
+            out = auto.out()
+            for source, state in enumerate(states):
+                expected = {(action, states[target]) for action, target in out[source]}
+                assert step(state, comm) == expected
+
+
+class TestDeepNesting:
+    """Derivation recurses once per nesting level, as deep as it ever did."""
+
+    @pytest.mark.parametrize("op", [".", "||"])
+    def test_long_chain_reaches_the_state_limit(self, op):
+        e = parse_expression(op.join(f"a{i}" for i in range(450)))
+        with pytest.raises(StateLimitExceeded):
+            derive_automaton(e, max_states=10)
+
+    def test_long_alternative_derives(self):
+        e = parse_expression("+".join(f"a{i}" for i in range(450)))
+        auto = derive_automaton(e, max_states=10)
+        assert auto.n_states == 2 and len(auto.transitions) == 450
+
+
 class TestAutomatonValue:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -220,6 +258,25 @@ class TestSerialisation:
         ):
             with pytest.raises(AutomatonFormatError):
                 automaton_from_json(bad)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"states": [{"id": false}], "initial": 0, "transitions": []}',
+            '{"states": [{"id": 0, "terminating": "no"}], "initial": 0, "transitions": []}',
+            '{"states": [{"id": 0}, {"id": 1}], "initial": true, "transitions": []}',
+            '{"states": [{"id": 0}], "initial": 0,'
+            ' "transitions": [{"from": false, "action": "a", "to": 0}]}',
+            '{"states": [{"id": 0}, {"id": 1}], "initial": 0,'
+            ' "transitions": [{"from": 0, "action": "a", "to": true}]}',
+        ],
+        ids=["id", "terminating", "initial", "from", "to"],
+    )
+    def test_json_rejects_booleans_and_non_boolean_flags(self, text):
+        from starpar import AutomatonFormatError
+
+        with pytest.raises(AutomatonFormatError):
+            automaton_from_json(text)
 
     def test_dot_output(self):
         auto = derive_automaton(parse_expression("a"))
