@@ -1,9 +1,11 @@
-"""Golden corpus: ``starpar lts`` and ``starpar encode`` output, byte for byte.
+"""Golden corpus: CLI output of ``lts``, ``check``, ``scc``, ``minimize``,
+``bisim``, ``encode`` and ``verify-encoding``, byte for byte.
 
 The files under ``tests/golden/`` hold the exact CLI output of a fixed set of
-inputs.  They are the reference: a change to derivation, rendering or
-serialisation must reproduce them unchanged.  To capture a *new* case, add it
-below and run ``python -m tests.test_golden --write`` from the repository
+inputs, and each command's exit code is pinned beside it.  They are the
+reference: a change to derivation, analysis, refinement, isomorphism, rendering
+or serialisation must reproduce them unchanged.  To capture a *new* case, add
+it below and run ``python -m tests.test_golden --write`` from the repository
 root; existing files are never overwritten.
 """
 
@@ -48,14 +50,29 @@ LTS_CASES = {
     "star_loops_3_handshake": (STAR_LOOPS_3, "c f -> sync\n"),
 }
 
+# name -> exit codes of ``check --property bpa`` and ``check --property pa``
+# on the case's automaton (1: the necessary condition fails).
+CHECK_EXIT_CODES = {
+    "two_exit_loop": (0, 0),
+    "shared_exit_loop": (0, 0),
+    "dead_branch_loop": (0, 0),
+    "interleaved_loop": (1, 0),
+    "communicating_loop": (1, 0),
+    "communicating_loop_gamma": (1, 1),
+    "cycle_counterexample_seq": (0, 0),
+    "cycle_counterexample_par": (1, 0),
+    "star_loops_3": (1, 0),
+    "star_loops_3_handshake": (1, 1),
+}
+
 ENCODE_FILES = ("expression.txt", "gamma.txt", "manifest.json")
 
 
-def _cli(argv: list[str]) -> str:
+def _cli(argv: list[str], expected: int = 0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = run(argv)
-    assert code == 0, f"starpar {' '.join(argv)} exited with {code}"
+    assert code == expected, f"starpar {' '.join(argv)} exited with {code}, not {expected}"
     return out.getvalue()
 
 
@@ -75,6 +92,24 @@ def _lts_outputs(name: str, workdir: Path) -> dict[str, str]:
     return {f"{name}.{fmt}": _lts(expr, gamma_path, fmt) for fmt in ("json", "dot")}
 
 
+def _analysis_outputs(name: str, workdir: Path) -> dict[str, str]:
+    """``check``, ``scc``, ``minimize`` and ``bisim`` (against the case's own
+    minimisation) on the automaton the case's ``lts`` golden pins."""
+    automaton = workdir / f"{name}.json"
+    automaton.write_text(_golden(f"{name}.json"))
+    bpa_code, pa_code = CHECK_EXIT_CODES[name]
+    outputs = {
+        "check_bpa.json": _cli(["check", "--property", "bpa", str(automaton), "--json"], bpa_code),
+        "check_pa.json": _cli(["check", "--property", "pa", str(automaton), "--json"], pa_code),
+        "scc.json": _cli(["scc", str(automaton), "--json"]),
+        "minimize.json": _cli(["minimize", str(automaton)]),
+    }
+    minimal = workdir / f"{name}.min.json"
+    minimal.write_text(outputs["minimize.json"])
+    outputs["bisim.json"] = _cli(["bisim", str(automaton), str(minimal), "--json"])
+    return {f"{name}/{kind}": text for kind, text in outputs.items()}
+
+
 def _encode_outputs(workdir: Path) -> dict[str, str]:
     fa_path = workdir / "four_state_fa.json"
     fa_path.write_text(automaton_to_json(four_state_fa()))
@@ -85,6 +120,7 @@ def _encode_outputs(workdir: Path) -> dict[str, str]:
     gamma_path = out_dir / "gamma.txt"
     for fmt in ("json", "dot"):
         outputs[f"four_state_fa/lts.{fmt}"] = _lts(expr, gamma_path, fmt)
+    outputs["four_state_fa/verify_encoding.json"] = _cli(["verify-encoding", str(fa_path), "--json"])
     return outputs
 
 
@@ -98,6 +134,12 @@ def test_lts_output_matches_golden(name, tmp_path):
         assert text == _golden(relative), relative
 
 
+@pytest.mark.parametrize("name", sorted(LTS_CASES))
+def test_analysis_output_matches_golden(name, tmp_path):
+    for relative, text in _analysis_outputs(name, tmp_path).items():
+        assert text == _golden(relative), relative
+
+
 def test_encode_output_matches_golden(tmp_path):
     for relative, text in _encode_outputs(tmp_path).items():
         assert text == _golden(relative), relative
@@ -106,8 +148,12 @@ def test_encode_output_matches_golden(tmp_path):
 def _write_missing(workdir: Path) -> None:
     outputs = {}
     for name in LTS_CASES:
-        outputs.update(_lts_outputs(name, workdir))
-    outputs.update(_encode_outputs(workdir))
+        _write_new(_lts_outputs(name, workdir))
+        _write_new(_analysis_outputs(name, workdir))
+    _write_new(_encode_outputs(workdir))
+
+
+def _write_new(outputs: dict[str, str]) -> None:
     for relative, text in sorted(outputs.items()):
         path = GOLDEN / relative
         if path.exists():
