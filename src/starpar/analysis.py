@@ -254,6 +254,26 @@ class PropertyReport:
         }
 
 
+def _exit_structure(
+    a: Automaton,
+) -> tuple[SccDecomposition, list[list[int]], list[frozenset[ExitTransition]]]:
+    """The SCCs, each SCC's alive exit states in increasing order, and each
+    state's normed exit set, from one scan of the transitions.
+
+    Equal to ``alive_exit_states`` and ``normed_exit_transitions`` called on
+    every component and state, without their per-state rescans.
+    """
+    d = scc_decompose(a)
+    normed = normed_states(a)
+    exits: list[set[ExitTransition]] = [set() for _ in range(a.n_states)]
+    for t in a.transitions:
+        if t.target in normed and d.component_of[t.source] != d.component_of[t.target]:
+            exits[t.source].add(ExitTransition(t.action, t.target))
+    extn = [frozenset(e) for e in exits]
+    alive = [[s for s in members if s in a.terminating or extn[s]] for members in d.members]
+    return d, alive, extn
+
+
 def _state_name(a: Automaton, s: int) -> str:
     label = a.labels[s]
     return f"{s} ({label})" if label is not None else str(s)
@@ -268,15 +288,13 @@ def check_bpa_property(a: Automaton) -> PropertyReport:
     """Necessary condition for expressibility without interleaving: within each
     non-trivial SCC, all alive exit states have identical sets of normed exit
     transitions, and agree on the termination flag."""
-    d = scc_decompose(a)
-    normed = normed_states(a)
+    d, alive_of, extn = _exit_structure(a)
     witnesses = []
     for cid in d.non_trivial():
-        alive = sorted(alive_exit_states(a, d, cid, normed))
+        alive = alive_of[cid]
         if len(alive) < 2:
             continue
-        extn = {s: normed_exit_transitions(a, d, s, normed) for s in alive}
-        if len(set(extn.values())) > 1:
+        if len({extn[s] for s in alive}) > 1:
             details = "normed exit sets differ: " + "; ".join(
                 f"Extn({_state_name(a, s)}) = {_render_exits(a, extn[s])}" for s in alive
             )
@@ -296,19 +314,13 @@ def check_pa_property(a: Automaton) -> PropertyReport:
     """Necessary condition for expressibility with pure interleaving: every SCC
     with an alive exit state has a maximal one, covering all alive exit states'
     normed exits up to action-plus-target-SCC equivalence."""
-    d = scc_decompose(a)
-    normed = normed_states(a)
+    d, alive_of, extn = _exit_structure(a)
     witnesses = []
-    for cid in range(d.count):
-        alive = sorted(alive_exit_states(a, d, cid, normed))
+    for cid, alive in enumerate(alive_of):
         if not alive:
             continue
         classes = {
-            s: frozenset(
-                (e.action, d.component_of[e.target])
-                for e in normed_exit_transitions(a, d, s, normed)
-            )
-            for s in alive
+            s: frozenset((e.action, d.component_of[e.target]) for e in extn[s]) for s in alive
         }
         required: set[tuple[Action, int]] = set()
         for c in classes.values():

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (property holds, bisimilar, isomorphic), 1 negative
 verdict (property fails, not bisimilar, not isomorphic), 2 usage, parse or
-format error, 3 state limit exceeded.  Identical invocations produce
-byte-identical output.
+format error, 3 state or nesting limit exceeded.  Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -263,6 +263,9 @@ def run(argv: list[str]) -> int:
         return args.func(args)
     except StateLimitExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_STATE_LIMIT
+    except RecursionError:
+        sys.stderr.write("error: expression nested too deeply\n")
         return EXIT_STATE_LIMIT
     except (ValueError, UnsupportedExpression, InvalidAutomaton, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,33 +3,36 @@ quotient minimisation, and automaton isomorphism."""
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .semantics import Automaton, Transition
 from .syntax import Action
 
 
 def _coarsest_partition(
-    n: int,
-    out: list[list[tuple[Action, int]]],
-    terminating: frozenset[int],
+    out: list[list[tuple[Action, int]]], seed: list[Hashable]
 ) -> list[int]:
-    """Relational coarsest partition, seeded by the termination flag.
+    """Relational coarsest partition refining the ``seed`` colouring.
 
-    Simple splitter style: states are repeatedly regrouped by their one-step
-    signature (current block plus the set of (action, successor block) pairs)
-    until the number of blocks stops growing.  Block ids are assigned by first
-    occurrence in state order, so the result is deterministic.
+    ``seed[i]`` is any hashable colour of state ``i``; states with unequal
+    colours never share a block.  Simple splitter style: states are repeatedly
+    regrouped by their one-step signature (current block plus the set of
+    (action, successor block) pairs) until the number of blocks stops growing.
+    Block ids are assigned by first occurrence in state order, so the result
+    depends only on the partition the seed induces, not on its colour values.
+    Seeded by the termination flag this is strong bisimilarity; seeded by
+    (is initial, terminates) on a disjoint union, every isomorphism between
+    the two halves maps each state into its own block.
     """
-    block = [1 if i in terminating else 0 for i in range(n)]
+    block = seed
     count = len(set(block))
     while True:
-        remap: dict[tuple[int, frozenset[tuple[Action, int]]], int] = {}
+        remap: dict[tuple[Hashable, frozenset[tuple[Action, int]]], int] = {}
         new = []
-        for i in range(n):
-            signature = (block[i], frozenset((a, block[t]) for a, t in out[i]))
+        for i, moves in enumerate(out):
+            signature = (block[i], frozenset((a, block[t]) for a, t in moves))
             new.append(remap.setdefault(signature, len(remap)))
         if len(remap) == count:
             return new
@@ -61,19 +64,24 @@ def _union_out(a: Automaton, b: Automaton) -> list[list[tuple[Action, int]]]:
     return out + shifted
 
 
+def _second_by_block(block: list[int], offset: int) -> dict[int, list[int]]:
+    """States of the second automaton of a union, in increasing order, per block."""
+    groups: dict[int, list[int]] = {}
+    for j, bid in enumerate(block[offset:]):
+        groups.setdefault(bid, []).append(j)
+    return groups
+
+
 def bisimilar(a: Automaton, b: Automaton) -> BisimResult:
     """Decide strong bisimilarity of the two initial states."""
-    out = _union_out(a, b)
-    terminating = a.terminating | frozenset(s + a.n_states for s in b.terminating)
-    block = _coarsest_partition(a.n_states + b.n_states, out, terminating)
+    seed = [s in m.terminating for m in (a, b) for s in range(m.n_states)]
+    block = _coarsest_partition(_union_out(a, b), seed)
     related = block[a.initial] == block[a.n_states + b.initial]
     witness = None
     if related:
+        second = _second_by_block(block, a.n_states)
         witness = frozenset(
-            (i, j)
-            for i in range(a.n_states)
-            for j in range(b.n_states)
-            if block[i] == block[a.n_states + j]
+            (i, j) for i in range(a.n_states) for j in second.get(block[i], ())
         )
     return BisimResult(bisimilar=related, partition=tuple(block), witness_relation=witness)
 
@@ -116,7 +124,7 @@ def minimize(a: Automaton) -> Automaton:
     bisimilar to each other.  State numbering is breadth-first from the
     initial block for determinism.
     """
-    block = _coarsest_partition(a.n_states, a.out(), a.terminating)
+    block = _coarsest_partition(a.out(), [s in a.terminating for s in range(a.n_states)])
     block_transitions: dict[int, list[tuple[Action, int]]] = {}
     for t in a.transitions:
         block_transitions.setdefault(block[t.source], []).append((t.action, block[t.target]))
@@ -174,60 +182,6 @@ class IsoResult:
     mapping: tuple[int, ...] | None
 
 
-def _colour_refinement(a: Automaton, b: Automaton) -> tuple[list[int], list[int]] | None:
-    """Joint colour refinement on both state sets.
-
-    Colours start from (is initial, terminates) and are refined by the
-    multisets of labelled in- and out-edges into colour classes.  Returns the
-    stable colouring, or None when the colour histograms differ (in which case
-    the automata cannot be isomorphic).
-    """
-    na, nb = a.n_states, b.n_states
-
-    def edges(m: Automaton) -> tuple[list[list[tuple[Action, int]]], list[list[tuple[Action, int]]]]:
-        out: list[list[tuple[Action, int]]] = [[] for _ in range(m.n_states)]
-        into: list[list[tuple[Action, int]]] = [[] for _ in range(m.n_states)]
-        for t in m.transitions:
-            out[t.source].append((t.action, t.target))
-            into[t.target].append((t.action, t.source))
-        return out, into
-
-    a_out, a_in = edges(a)
-    b_out, b_in = edges(b)
-    colour_a = [(s == a.initial, s in a.terminating) for s in range(na)]
-    colour_b = [(s == b.initial, s in b.terminating) for s in range(nb)]
-    palette = {c: i for i, c in enumerate(sorted(set(colour_a) | set(colour_b)))}
-    colours_a = [palette[c] for c in colour_a]
-    colours_b = [palette[c] for c in colour_b]
-
-    while True:
-        def signature(colours, out, into, s):
-            return (
-                colours[s],
-                tuple(sorted((action.name, colours[t]) for action, t in out[s])),
-                tuple(sorted((action.name, colours[t]) for action, t in into[s])),
-            )
-
-        sigs_a = [signature(colours_a, a_out, a_in, s) for s in range(na)]
-        sigs_b = [signature(colours_b, b_out, b_in, s) for s in range(nb)]
-        palette = {c: i for i, c in enumerate(sorted(set(sigs_a) | set(sigs_b)))}
-        new_a = [palette[s] for s in sigs_a]
-        new_b = [palette[s] for s in sigs_b]
-        if new_a == colours_a and new_b == colours_b:
-            break
-        colours_a, colours_b = new_a, new_b
-
-    histogram_a: dict[int, int] = {}
-    histogram_b: dict[int, int] = {}
-    for c in colours_a:
-        histogram_a[c] = histogram_a.get(c, 0) + 1
-    for c in colours_b:
-        histogram_b[c] = histogram_b.get(c, 0) + 1
-    if histogram_a != histogram_b:
-        return None
-    return colours_a, colours_b
-
-
 def _edge_labels(m: Automaton) -> dict[tuple[int, int], frozenset[Action]]:
     labels: dict[tuple[int, int], set[Action]] = {}
     for t in m.transitions:
@@ -238,10 +192,15 @@ def _edge_labels(m: Automaton) -> dict[tuple[int, int], frozenset[Action]]:
 def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     """Exact isomorphism on finite automata.
 
-    Backtracking search seeded by colour refinement; candidates are tried
-    lowest index first, so the returned bijection is deterministic.  The
-    mapping preserves the initial state, termination flags, and labelled
-    transitions in both directions.
+    An isomorphism preserving the initial state is a bisimulation that also
+    preserves initiality, so it maps every state into its own block of the
+    coarsest partition of the disjoint union seeded by (is initial,
+    terminates).  The automata are not isomorphic when the two halves' block
+    histograms differ; otherwise an iterative backtracking search tries, for
+    each state in order, only the second automaton's states of its block,
+    lowest index first, so the returned bijection is the lexicographically
+    least isomorphism.  The mapping preserves the initial state, termination
+    flags, and labelled transitions in both directions.
     """
     if (
         a.n_states != b.n_states
@@ -249,18 +208,18 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
         or len(a.terminating) != len(b.terminating)
     ):
         return IsoResult(False, None)
-    refined = _colour_refinement(a, b)
-    if refined is None:
-        return IsoResult(False, None)
-    colours_a, colours_b = refined
     n = a.n_states
+    seed = [(s == m.initial, s in m.terminating) for m in (a, b) for s in range(n)]
+    block = _coarsest_partition(_union_out(a, b), seed)
+    second = _second_by_block(block, n)
+    if Counter(block[:n]) != {bid: len(states) for bid, states in second.items()}:
+        return IsoResult(False, None)
+    candidates = [second[block[s]] for s in range(n)]
     a_edges = _edge_labels(a)
     b_edges = _edge_labels(b)
-    candidates = [
-        [t for t in range(n) if colours_b[t] == colours_a[s]] for s in range(n)
-    ]
     mapping: list[int] = [-1] * n
     used = [False] * n
+    cursor = [0] * n
 
     def consistent(s: int, t: int) -> bool:
         for u in range(s + 1):
@@ -271,24 +230,28 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
                 return False
         return True
 
-    def assign(s: int) -> bool:
-        if s == n:
-            return True
-        for t in candidates[s]:
-            if used[t]:
-                continue
-            if not consistent(s, t):
-                continue
-            mapping[s] = t
-            used[t] = True
-            if assign(s + 1):
-                return True
+    # Depth-first over the states of ``a`` in order; ``cursor[s]`` is the next
+    # candidate to try for state ``s`` when the search reaches or returns to it.
+    s = 0
+    while 0 <= s < n:
+        if mapping[s] != -1:
+            used[mapping[s]] = False
             mapping[s] = -1
-            used[t] = False
-        return False
-
-    if not assign(0):
+        options = candidates[s]
+        while cursor[s] < len(options):
+            t = options[cursor[s]]
+            cursor[s] += 1
+            if not used[t] and consistent(s, t):
+                mapping[s] = t
+                used[t] = True
+                break
+        if mapping[s] == -1:
+            cursor[s] = 0
+            s -= 1
+        else:
+            s += 1
+    if s < 0:
         return IsoResult(False, None)
-    if mapping[a.initial] != b.initial:  # pragma: no cover - enforced by colours
+    if mapping[a.initial] != b.initial:  # pragma: no cover - enforced by the seed
         return IsoResult(False, None)
     return IsoResult(True, tuple(mapping))

@@ -53,6 +53,17 @@ class TestLts:
     def test_state_limit_exit_code(self, capsys):
         assert run(["lts", "-e", "a.b.c", "--max-states", "2"]) == 3
 
+    def test_deep_nesting_exit_code(self, tmp_path, capsys):
+        """Too deep to parse or to derive: exit 3 and one error line, no traceback."""
+        path = tmp_path / "chain.txt"
+        path.write_text(".".join(f"a{i}" for i in range(3000)) + "\n")
+        nested = "(" * 1200 + "a" + ")" * 1200
+        for argv in (["lts", "-e", nested], ["lts", "--expr-file", str(path)]):
+            assert run(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: expression nested too deeply\n"
+
     def test_parse_error_exit_code(self, capsys):
         assert run(["lts", "-e", "a +"]) == 2
 

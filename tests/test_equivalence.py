@@ -166,6 +166,23 @@ class TestIsomorphic:
         assert bisimilar(a, m).bisimilar
         assert not isomorphic(a, m).isomorphic
 
+    def test_wide_fan_out_has_no_recursion_limit(self):
+        """A search over 1 101 states stays iterative: a root with 1 100
+        terminating a-successors against a shuffled copy of itself."""
+        leaves = 1100
+        a = Automaton(
+            labels=(None,) * (leaves + 1),
+            initial=0,
+            transitions=tuple(Transition(0, Action("a"), s) for s in range(1, leaves + 1)),
+            terminating=frozenset(range(1, leaves + 1)),
+        )
+        perm = list(range(a.n_states))
+        random.Random(41).shuffle(perm)
+        b = permute_automaton(a, perm)
+        result = isomorphic(a, b)
+        assert result.isomorphic
+        assert is_isomorphism(a, b, result.mapping)
+
     def test_isomorphism_implies_bisimilarity(self):
         rng = random.Random(23)
         for _ in range(20):
@@ -188,7 +205,18 @@ class TestOracleAgreement:
             else:
                 b = random_automaton(rng, max_states=8)
             expected = naive_bisimilar(a, b)
-            assert bisimilar(a, b).bisimilar == expected
+            result = bisimilar(a, b)
+            assert result.bisimilar == expected
+            if expected:
+                p = result.partition
+                assert result.witness_relation == {
+                    (i, j)
+                    for i in range(a.n_states)
+                    for j in range(b.n_states)
+                    if p[i] == p[a.n_states + j]
+                }
+            else:
+                assert result.witness_relation is None
             agreements += 1
         assert agreements == 60
 
