@@ -12,28 +12,30 @@ from .syntax import Action
 
 
 def _coarsest_partition(
-    out: list[list[tuple[Action, int]]], seed: list[Hashable]
+    out: list[list[tuple[Hashable, int]]], seed: list[Hashable], counted: bool = False
 ) -> list[int]:
     """Relational coarsest partition refining the ``seed`` colouring.
 
     ``seed[i]`` is any hashable colour of state ``i``; states with unequal
     colours never share a block.  Simple splitter style: states are repeatedly
     regrouped by their one-step signature (current block plus the set of
-    (action, successor block) pairs) until the number of blocks stops growing.
+    (label, successor block) pairs) until the number of blocks stops growing.
     Block ids are assigned by first occurrence in state order, so the result
     depends only on the partition the seed induces, not on its colour values.
-    Seeded by the termination flag this is strong bisimilarity; seeded by
-    (is initial, terminates) on a disjoint union, every isomorphism between
-    the two halves maps each state into its own block.
+    Seeded by the termination flag this is strong bisimilarity.  With
+    ``counted`` the signature holds the multiset of those pairs instead of
+    the set, which is colour refinement: run over labelled out- and in-edges
+    it is finer than bisimilarity and still preserved by every isomorphism.
     """
     block = seed
     count = len(set(block))
     while True:
-        remap: dict[tuple[Hashable, frozenset[tuple[Action, int]]], int] = {}
+        remap: dict[tuple[Hashable, frozenset], int] = {}
         new = []
         for i, moves in enumerate(out):
-            signature = (block[i], frozenset((a, block[t]) for a, t in moves))
-            new.append(remap.setdefault(signature, len(remap)))
+            pairs = ((a, block[t]) for a, t in moves)
+            step = frozenset(Counter(pairs).items()) if counted else frozenset(pairs)
+            new.append(remap.setdefault((block[i], step), len(remap)))
         if len(remap) == count:
             return new
         block = new
@@ -192,15 +194,17 @@ def _edge_labels(m: Automaton) -> dict[tuple[int, int], frozenset[Action]]:
 def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     """Exact isomorphism on finite automata.
 
-    An isomorphism preserving the initial state is a bisimulation that also
-    preserves initiality, so it maps every state into its own block of the
-    coarsest partition of the disjoint union seeded by (is initial,
+    Every isomorphism preserving the initial state maps each state into its
+    own block of the counted refinement (colour refinement) of the disjoint
+    union over labelled out- and in-edges, seeded by (is initial,
     terminates).  The automata are not isomorphic when the two halves' block
     histograms differ; otherwise an iterative backtracking search tries, for
     each state in order, only the second automaton's states of its block,
     lowest index first, so the returned bijection is the lexicographically
-    least isomorphism.  The mapping preserves the initial state, termination
-    flags, and labelled transitions in both directions.
+    least isomorphism.  Counting edges in both directions tells apart states
+    that are bisimilar but differ in fan-out or predecessors, which keeps the
+    search from backtracking across them.  The mapping preserves the initial
+    state, termination flags, and labelled transitions in both directions.
     """
     if (
         a.n_states != b.n_states
@@ -210,7 +214,17 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
         return IsoResult(False, None)
     n = a.n_states
     seed = [(s == m.initial, s in m.terminating) for m in (a, b) for s in range(n)]
-    block = _coarsest_partition(_union_out(a, b), seed)
+    # Labelled out- and in-edges of the union.  The k-th action name labels
+    # an out-edge 2k and an in-edge 2k + 1: int labels keep the counted
+    # signatures cheap to hash, where an Action hashes in Python.
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+    label: dict[str, int] = {}
+    for offset, m in ((0, a), (n, b)):
+        for t in m.transitions:
+            k = 2 * label.setdefault(t.action.name, len(label))
+            edges[offset + t.source].append((k, offset + t.target))
+            edges[offset + t.target].append((k + 1, offset + t.source))
+    block = _coarsest_partition(edges, seed, counted=True)
     second = _second_by_block(block, n)
     if Counter(block[:n]) != {bid: len(states) for bid, states in second.items()}:
         return IsoResult(False, None)

@@ -368,6 +368,8 @@ def automaton_from_json(text: str) -> Automaton:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AutomatonFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise AutomatonFormatError("invalid JSON: nested too deeply") from exc
     return automaton_from_dict(obj)
 
 

@@ -215,6 +215,15 @@ class TestUsage:
         path.write_text("{\"nope\": 1}")
         assert run(["scc", str(path)]) == 2
 
+    def test_deeply_nested_automaton_json(self, tmp_path, capsys):
+        """JSON too deep for the decoder is a format error, not a nesting limit."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["scc", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid JSON: nested too deeply\n"
+
     def test_boolean_state_ids_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,35 @@ class TestIsomorphic:
         random.Random(41).shuffle(perm)
         b = permute_automaton(a, perm)
         result = isomorphic(a, b)
+        assert result.isomorphic
+        assert is_isomorphism(a, b, result.mapping)
+
+    def test_bisimilar_fan_out_is_pruned_by_degree(self):
+        """Children of one root that are bisimilar but have 1..8 leaves each,
+        against the reversed order: counting edges separates every child and
+        leaf, so the search never backtracks across them."""
+
+        def fan(leaf_counts):
+            transitions, terminating = [], []
+            n = 1 + len(leaf_counts)
+            for child, leaves in enumerate(leaf_counts, start=1):
+                transitions.append(Transition(0, Action("a"), child))
+                for leaf in range(n, n + leaves):
+                    transitions.append(Transition(child, Action("b"), leaf))
+                    terminating.append(leaf)
+                n += leaves
+            return Automaton(
+                labels=(None,) * n,
+                initial=0,
+                transitions=tuple(transitions),
+                terminating=frozenset(terminating),
+            )
+
+        a = fan(range(1, 9))
+        b = fan(range(8, 0, -1))
+        start = time.perf_counter()
+        result = isomorphic(a, b)
+        assert time.perf_counter() - start < 0.5
         assert result.isomorphic
         assert is_isomorphism(a, b, result.mapping)
 

@@ -146,7 +146,6 @@ def test_encode_output_matches_golden(tmp_path):
 
 
 def _write_missing(workdir: Path) -> None:
-    outputs = {}
     for name in LTS_CASES:
         _write_new(_lts_outputs(name, workdir))
         _write_new(_analysis_outputs(name, workdir))
