@@ -2,7 +2,9 @@
 ``bisim``, ``encode`` and ``verify-encoding``, byte for byte.
 
 The files under ``tests/golden/`` hold the exact CLI output of a fixed set of
-inputs, and each command's exit code is pinned beside it.  They are the
+inputs, and each command's exit code is pinned beside it.  Every command here
+must leave stderr empty, except the ``lts --gamma`` runs on non-associative
+tables, whose one-line rejection message is pinned as a ``.stderr`` file.  They are the
 reference: a change to derivation, analysis, refinement, isomorphism, rendering
 or serialisation must reproduce them unchanged.  To capture a *new* case, add
 it below and run ``python -m tests.test_golden --write`` from the repository
@@ -65,15 +67,35 @@ CHECK_EXIT_CODES = {
     "star_loops_3_handshake": (1, 1),
 }
 
+# name -> gamma file text that ``lts --gamma`` rejects as non-associative
+# (exit 2).  ``a a -> b`` alone is associative (every triple is undefined on
+# both sides), so the self-communication case adds ``b b -> c``.  The last
+# table has 18 violations, some over ``c10`` and ``c9``, which sort as
+# strings rather than as numbers, so it pins the order of the list.
+REJECTED_GAMMAS = {
+    "nonassociative_three_rules": "a b -> c\nc d -> e\nb d -> x\n",
+    "self_communication": "a a -> b\nb b -> c\n",
+    "many_violations": (
+        "a b -> c10\nc10 d -> e\ne f -> Z\nb d -> c9\nc9 a -> e\nc10 c10 -> f\n"
+    ),
+}
+
 ENCODE_FILES = ("expression.txt", "gamma.txt", "manifest.json")
 
 
-def _cli(argv: list[str], expected: int = 0) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _run(argv: list[str], expected: int) -> tuple[str, str]:
+    """Run the CLI in-process; returns (stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code == expected, f"starpar {' '.join(argv)} exited with {code}, not {expected}"
-    return out.getvalue()
+    return out.getvalue(), err.getvalue()
+
+
+def _cli(argv: list[str], expected: int = 0) -> str:
+    stdout, stderr = _run(argv, expected)
+    assert stderr == "", f"starpar {' '.join(argv)} wrote to stderr: {stderr!r}"
+    return stdout
 
 
 def _lts(expr: str, gamma_path: Path | None, fmt: str) -> str:
@@ -124,6 +146,14 @@ def _encode_outputs(workdir: Path) -> dict[str, str]:
     return outputs
 
 
+def _rejected_gamma_outputs(name: str, workdir: Path) -> dict[str, str]:
+    gamma_path = workdir / f"{name}.gamma"
+    gamma_path.write_text(REJECTED_GAMMAS[name])
+    stdout, stderr = _run(["lts", "-e", "a||b", "--gamma", str(gamma_path)], 2)
+    assert stdout == ""
+    return {f"rejected_gamma/{name}.stderr": stderr}
+
+
 def _golden(relative: str) -> str:
     return (GOLDEN / relative).read_bytes().decode()
 
@@ -145,11 +175,19 @@ def test_encode_output_matches_golden(tmp_path):
         assert text == _golden(relative), relative
 
 
+@pytest.mark.parametrize("name", sorted(REJECTED_GAMMAS))
+def test_rejected_gamma_matches_golden(name, tmp_path):
+    for relative, text in _rejected_gamma_outputs(name, tmp_path).items():
+        assert text == _golden(relative), relative
+
+
 def _write_missing(workdir: Path) -> None:
     for name in LTS_CASES:
         _write_new(_lts_outputs(name, workdir))
         _write_new(_analysis_outputs(name, workdir))
     _write_new(_encode_outputs(workdir))
+    for name in REJECTED_GAMMAS:
+        _write_new(_rejected_gamma_outputs(name, workdir))
 
 
 def _write_new(outputs: dict[str, str]) -> None:
