@@ -452,18 +452,33 @@ def validate_comm_fn(g: CommFn) -> CommValidation:
     both undefined or both defined and equal, for all triples over the actions
     mentioned in the table.  Handshaking holds when no result of gamma occurs
     as an argument of a defined pair.
+
+    Only triples with a defined side are evaluated: the left side needs (a, b)
+    defined and c a partner of gamma(a,b), the right side (b, c) defined and
+    a a partner of gamma(b,c).  So for each defined ordered pair (x, y) and
+    each partner z of gamma(x,y), the candidates are (x, y, z) and (z, x, y).
+    The cost is the sum, over defined pairs, of the partners of their result:
+    linear in the table size for a handshaking table, where results have no
+    partners.  The violations come out sorted, in the order a scan of every
+    triple of the closure would list them.
     """
-    closure = sorted(g.arguments() | g.results())
+    partners: dict[Action, list[Action]] = {}
+    for a, b in g._table:
+        partners.setdefault(a, []).append(b)
+    candidates = set()
+    for (x, y), result in g._table.items():
+        for z in partners.get(result, ()):
+            candidates.add((x, y, z))
+            candidates.add((z, x, y))
     assoc_violations = []
-    for a in closure:
-        for b in closure:
-            ab = g.lookup(a, b)
-            for c in closure:
-                left = g.lookup(ab, c) if ab is not None else None
-                bc = g.lookup(b, c)
-                right = g.lookup(a, bc) if bc is not None else None
-                if left != right:
-                    assoc_violations.append((a, b, c))
+    for a, b, c in candidates:
+        ab = g.lookup(a, b)
+        left = g.lookup(ab, c) if ab is not None else None
+        bc = g.lookup(b, c)
+        right = g.lookup(a, bc) if bc is not None else None
+        if left != right:
+            assoc_violations.append((a, b, c))
+    assoc_violations.sort()
     handshake_violations = sorted(g.results() & g.arguments())
     return CommValidation(
         commutative=True,

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own algorithms: the
 bisimilarity oracle deletes violating pairs from the full relation, the step
-oracle checks a single derivation rule at a time, and the automaton builders
+oracle checks a single derivation rule at a time, the communication-function
+oracle evaluates every triple of the table closure, and the automaton builders
 assemble states and transitions directly.
 """
 
@@ -18,6 +19,7 @@ from starpar import (
     Alt,
     Automaton,
     CommFn,
+    CommValidation,
     Deadlock,
     Empty,
     Encap,
@@ -56,6 +58,30 @@ def naive_bisimilar(a: Automaton, b: Automaton) -> bool:
                 related.discard((i, j))
                 changed = True
     return (a.initial, b.initial) in related
+
+
+def naive_validate_comm_fn(g: CommFn) -> CommValidation:
+    """Associativity over every triple of the closure, in sorted closure
+    order, and handshaking: the cubic reference for validate_comm_fn."""
+    closure = sorted(g.arguments() | g.results())
+    assoc_violations = []
+    for a in closure:
+        for b in closure:
+            ab = g.lookup(a, b)
+            for c in closure:
+                left = g.lookup(ab, c) if ab is not None else None
+                bc = g.lookup(b, c)
+                right = g.lookup(a, bc) if bc is not None else None
+                if left != right:
+                    assoc_violations.append((a, b, c))
+    handshake_violations = sorted(g.results() & g.arguments())
+    return CommValidation(
+        commutative=True,
+        associative=not assoc_violations,
+        handshaking=not handshake_violations,
+        associativity_violations=tuple(assoc_violations),
+        handshaking_violations=tuple(handshake_violations),
+    )
 
 
 def rule_derivable(e: Expression, action: Action, target: Expression, comm: CommFn) -> bool:

@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from starpar import automaton_from_json, automaton_to_json, derive_automaton, parse_expression
 from starpar.cli import run
@@ -238,3 +244,38 @@ class TestUsage:
         gamma_path.write_text("a b -> c\nc d -> e\nb d -> x\n")
         # that table is not associative, so lts refuses it
         assert run(["lts", "-e", "a||b", "--gamma", str(gamma_path)]) == 2
+
+
+_GAMMA_NAMES = st.sampled_from(["a", "b", "c", "d", "encap", "_", "a1"])
+_GAMMA_TOKENS = st.sampled_from(
+    ["a", "b", "c", "encap", "9", " ", "\t", "->", "-", ">", "#", "\n", "\r", "\x0b", "\u2028", "é"]
+)
+_GAMMA_FILES = st.one_of(
+    st.binary(),
+    st.text().map(str.encode),
+    st.lists(_GAMMA_TOKENS).map(lambda tokens: "".join(tokens).encode()),
+    st.lists(st.tuples(_GAMMA_NAMES, _GAMMA_NAMES, _GAMMA_NAMES), max_size=8).map(
+        lambda rules: "".join(f"{a} {b} -> {c}\n" for a, b, c in rules).encode()
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_GAMMA_FILES)
+def test_malformed_gamma_file_exits_cleanly(data):
+    """Any gamma file gives exit 0, or exit 2 with one ``error:`` line, never a
+    traceback; rule lists over a few names reach both accepted and
+    non-associative tables."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gamma_path = Path(tmp) / "gamma.txt"
+        gamma_path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["lts", "-e", "a||b", "--gamma", str(gamma_path)])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""

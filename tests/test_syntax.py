@@ -1,5 +1,8 @@
+import random
+import time
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from starpar import (
     DEADLOCK,
@@ -7,6 +10,7 @@ from starpar import (
     Act,
     Action,
     Alt,
+    Automaton,
     CommFn,
     CommFnError,
     Encap,
@@ -15,14 +19,17 @@ from starpar import (
     Seq,
     Star,
     Theory,
+    Transition,
     act,
     classify_theory,
     dump_comm_fn,
+    encode_fa,
     load_comm_fn,
     parse_expression,
     render_expression,
     validate_comm_fn,
 )
+from tests.oracles import naive_validate_comm_fn
 
 a, b, c, d = act("a"), act("b"), act("c"), act("d")
 
@@ -238,6 +245,65 @@ class TestCommFn:
             ]
         )
         assert len(g.pairs()) == 1
+
+
+_TABLE_ACTIONS = tuple(Action(name) for name in "abcdefg")
+_TABLE_INDEX = st.integers(0, len(_TABLE_ACTIONS) - 1)
+
+
+@st.composite
+def comm_tables(draw):
+    """Conflict-free tables over at most seven actions: a pair may be a
+    self-communication, and a result may come back as an argument."""
+    rules = draw(
+        st.dictionaries(
+            st.tuples(_TABLE_INDEX, _TABLE_INDEX).map(lambda pair: tuple(sorted(pair))),
+            _TABLE_INDEX,
+            max_size=16,
+        )
+    )
+    return CommFn(
+        (_TABLE_ACTIONS[i], _TABLE_ACTIONS[j], _TABLE_ACTIONS[r]) for (i, j), r in rules.items()
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(comm_tables())
+def test_validation_matches_closure_scan(g):
+    assert validate_comm_fn(g) == naive_validate_comm_fn(g)
+
+
+class TestCommFnScale:
+    def test_encoding_gamma_of_80_states_validates_in_linear_time(self):
+        rng = random.Random(80)
+        n = 80
+        transitions = [Transition(rng.randrange(i), Action(f"a{i % 2}"), i) for i in range(1, n)]
+        transitions += [
+            Transition(rng.randrange(n), Action(f"a{rng.randrange(2)}"), rng.randrange(n))
+            for _ in range(2 * n)
+        ]
+        fa = Automaton(
+            labels=(None,) * n,
+            initial=0,
+            transitions=tuple(transitions),
+            terminating=frozenset({0, n - 1}),
+        )
+        gamma = encode_fa(fa).gamma
+        assert len(gamma.arguments() | gamma.results()) == 242
+        start = time.perf_counter()
+        report = validate_comm_fn(gamma)
+        assert time.perf_counter() - start < 1.0
+        assert report.associative and report.handshaking
+        assert report.violations == ()
+
+    def test_feedback_chain_matches_closure_scan(self):
+        x = [Action(f"x{i}") for i in range(60)]
+        rules = [(x[i], x[i + 1], x[i + 2]) for i in range(58)]
+        rules += [(x[i], x[i], x[i + 1]) for i in range(0, 59, 7)]
+        g = CommFn(rules)
+        report = validate_comm_fn(g)
+        assert not report.associative and not report.handshaking
+        assert report == naive_validate_comm_fn(g)
 
 
 class TestGammaFile:
