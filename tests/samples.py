@@ -109,3 +109,105 @@ def four_state_fa() -> Automaton:
 # with a step to a terminating state.
 CYCLE_COUNTEREXAMPLE_SEQ = "(a.(b + b.b))*.d"
 CYCLE_COUNTEREXAMPLE_PAR = "(a.b)* || c"
+
+
+# Hand-built automata for the analysis golden files, with shapes no derived
+# case has.  Every state carries a label, so the minimised automaton shows
+# which member of each bisimulation class it was read from.
+
+
+def _labelled(n: int, initial: int, transitions, terminating) -> Automaton:
+    return Automaton(
+        labels=tuple(f"s{i}" for i in range(n)),
+        initial=initial,
+        transitions=tuple(transitions),
+        terminating=frozenset(terminating),
+    )
+
+
+# Unreachable states 0 and 6, where 0 is bisimilar to the reachable 4 and has
+# the lower number; a and b both lead from 1 to 2; the singleton components
+# {2} and {4} have a self-loop beside the trivial {3} and {5}; three states
+# terminate.
+def scattered_automaton() -> Automaton:
+    return _labelled(
+        7,
+        1,
+        (
+            _t(0, "c", 0),
+            _t(1, "a", 2),
+            _t(1, "b", 2),
+            _t(2, "c", 2),
+            _t(2, "d", 3),
+            _t(2, "d", 5),
+            _t(3, "e", 4),
+            _t(4, "c", 4),
+            _t(6, "a", 1),
+        ),
+        {0, 4, 5},
+    )
+
+
+# Initial state numbered last; the bisimilar self-looped states 1 and 4 are
+# both reached by a, and the three terminating deadlocks collapse into one.
+def late_initial_automaton() -> Automaton:
+    return _labelled(
+        6,
+        5,
+        (
+            _t(5, "b", 0),
+            _t(5, "a", 4),
+            _t(5, "a", 1),
+            _t(4, "c", 4),
+            _t(4, "d", 2),
+            _t(1, "c", 1),
+            _t(1, "d", 3),
+        ),
+        {0, 2, 3},
+    )
+
+
+# One non-trivial component {0, 1, 2, 3} with a and b in both directions
+# between 0 and 1, a self-loop on 2 inside it, two terminating states, and an
+# exit to the un-normed loop on 4.
+def two_way_cycle_automaton() -> Automaton:
+    return _labelled(
+        5,
+        0,
+        (
+            _t(0, "a", 1),
+            _t(0, "b", 1),
+            _t(1, "a", 0),
+            _t(1, "b", 0),
+            _t(1, "b", 2),
+            _t(2, "a", 3),
+            _t(2, "c", 2),
+            _t(2, "x", 4),
+            _t(3, "a", 2),
+            _t(3, "b", 0),
+            _t(4, "x", 4),
+        ),
+        {1, 3},
+    )
+
+
+# Encoding target: initial state 2, self-loops on 0 (a0 and a2) and on 3,
+# parallel edges 2 -> 0 and 3 -> 1, states 0 and 4 terminating.
+def looped_fa() -> Automaton:
+    return Automaton(
+        labels=(None,) * 5,
+        initial=2,
+        transitions=(
+            _t(2, "a0", 0),
+            _t(2, "a1", 0),
+            _t(0, "a0", 0),
+            _t(0, "a2", 0),
+            _t(0, "a1", 3),
+            _t(3, "a1", 3),
+            _t(3, "a0", 1),
+            _t(3, "a2", 1),
+            _t(1, "a0", 4),
+            _t(4, "a1", 2),
+        ),
+        terminating=frozenset({0, 4}),
+    )

@@ -32,6 +32,10 @@ from tests.samples import (
     TWO_EXIT_LOOP_EXPR,
     communicating_gamma,
     four_state_fa,
+    late_initial_automaton,
+    looped_fa,
+    scattered_automaton,
+    two_way_cycle_automaton,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,6 +56,15 @@ LTS_CASES = {
     "star_loops_3_handshake": (STAR_LOOPS_3, "c f -> sync\n"),
 }
 
+# name -> hand-built automaton for the analysis files, in place of an ``lts``
+# golden; these have unreachable states, state labels and an initial state
+# other than 0, which no derived automaton has.
+AUTOMATON_CASES = {
+    "scattered": scattered_automaton,
+    "late_initial": late_initial_automaton,
+    "two_way_cycle": two_way_cycle_automaton,
+}
+
 # name -> exit codes of ``check --property bpa`` and ``check --property pa``
 # on the case's automaton (1: the necessary condition fails).
 CHECK_EXIT_CODES = {
@@ -65,6 +78,16 @@ CHECK_EXIT_CODES = {
     "cycle_counterexample_par": (1, 0),
     "star_loops_3": (1, 0),
     "star_loops_3_handshake": (1, 1),
+    "scattered": (0, 0),
+    "late_initial": (0, 0),
+    "two_way_cycle": (0, 0),
+}
+
+# name -> automaton pinned through ``encode``, ``lts`` of the encoding and
+# ``verify-encoding``.
+ENCODE_CASES = {
+    "four_state_fa": four_state_fa,
+    "looped_fa": looped_fa,
 }
 
 # name -> gamma file text that ``lts --gamma`` rejects as non-associative
@@ -116,9 +139,13 @@ def _lts_outputs(name: str, workdir: Path) -> dict[str, str]:
 
 def _analysis_outputs(name: str, workdir: Path) -> dict[str, str]:
     """``check``, ``scc``, ``minimize`` and ``bisim`` (against the case's own
-    minimisation) on the automaton the case's ``lts`` golden pins."""
+    minimisation) on the hand-built automaton or the one the case's ``lts``
+    golden pins."""
     automaton = workdir / f"{name}.json"
-    automaton.write_text(_golden(f"{name}.json"))
+    if name in AUTOMATON_CASES:
+        automaton.write_text(automaton_to_json(AUTOMATON_CASES[name]()))
+    else:
+        automaton.write_text(_golden(f"{name}.json"))
     bpa_code, pa_code = CHECK_EXIT_CODES[name]
     outputs = {
         "check_bpa.json": _cli(["check", "--property", "bpa", str(automaton), "--json"], bpa_code),
@@ -132,17 +159,17 @@ def _analysis_outputs(name: str, workdir: Path) -> dict[str, str]:
     return {f"{name}/{kind}": text for kind, text in outputs.items()}
 
 
-def _encode_outputs(workdir: Path) -> dict[str, str]:
-    fa_path = workdir / "four_state_fa.json"
-    fa_path.write_text(automaton_to_json(four_state_fa()))
-    out_dir = workdir / "encoded"
+def _encode_outputs(name: str, workdir: Path) -> dict[str, str]:
+    fa_path = workdir / f"{name}.json"
+    fa_path.write_text(automaton_to_json(ENCODE_CASES[name]()))
+    out_dir = workdir / f"{name}.encoded"
     _cli(["encode", str(fa_path), "-o", str(out_dir)])
-    outputs = {f"four_state_fa/{f}": (out_dir / f).read_text() for f in ENCODE_FILES}
-    expr = outputs["four_state_fa/expression.txt"].strip()
+    outputs = {f"{name}/{f}": (out_dir / f).read_text() for f in ENCODE_FILES}
+    expr = outputs[f"{name}/expression.txt"].strip()
     gamma_path = out_dir / "gamma.txt"
     for fmt in ("json", "dot"):
-        outputs[f"four_state_fa/lts.{fmt}"] = _lts(expr, gamma_path, fmt)
-    outputs["four_state_fa/verify_encoding.json"] = _cli(["verify-encoding", str(fa_path), "--json"])
+        outputs[f"{name}/lts.{fmt}"] = _lts(expr, gamma_path, fmt)
+    outputs[f"{name}/verify_encoding.json"] = _cli(["verify-encoding", str(fa_path), "--json"])
     return outputs
 
 
@@ -164,15 +191,16 @@ def test_lts_output_matches_golden(name, tmp_path):
         assert text == _golden(relative), relative
 
 
-@pytest.mark.parametrize("name", sorted(LTS_CASES))
+@pytest.mark.parametrize("name", sorted(LTS_CASES) + sorted(AUTOMATON_CASES))
 def test_analysis_output_matches_golden(name, tmp_path):
     for relative, text in _analysis_outputs(name, tmp_path).items():
         assert text == _golden(relative), relative
 
 
 def test_encode_output_matches_golden(tmp_path):
-    for relative, text in _encode_outputs(tmp_path).items():
-        assert text == _golden(relative), relative
+    for name in ENCODE_CASES:
+        for relative, text in _encode_outputs(name, tmp_path).items():
+            assert text == _golden(relative), relative
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED_GAMMAS))
@@ -185,7 +213,10 @@ def _write_missing(workdir: Path) -> None:
     for name in LTS_CASES:
         _write_new(_lts_outputs(name, workdir))
         _write_new(_analysis_outputs(name, workdir))
-    _write_new(_encode_outputs(workdir))
+    for name in AUTOMATON_CASES:
+        _write_new(_analysis_outputs(name, workdir))
+    for name in ENCODE_CASES:
+        _write_new(_encode_outputs(name, workdir))
     for name in REJECTED_GAMMAS:
         _write_new(_rejected_gamma_outputs(name, workdir))
 
