@@ -73,39 +73,39 @@ def scc_decompose(a: Automaton) -> SccDecomposition:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        # One frame per state on the search path: the state and an iterator
+        # over its successors, which resumes where it stopped.
+        work = [(root, iter(adjacency[root]))]
         while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while i < len(adjacency[v]):
-                w = adjacency[v][i]
-                i += 1
+            v, successors = work[-1]
+            for w in successors:
                 if index[w] == -1:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adjacency[w])))
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(component))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
 
     component_of = [0] * n
     trivial = []

@@ -90,8 +90,6 @@ def encode_fa(fa: Automaton) -> EncodingResult:
     automaton of the result is isomorphic to ``fa`` (see verify_encoding).
     """
     n = fa.n_states
-    if n == 0:  # pragma: no cover - Automaton guarantees n >= 1
-        raise InvalidAutomaton("cannot encode an automaton with no states")
     unreachable = sorted(set(range(n)) - fa.reachable())
     if unreachable:
         raise InvalidAutomaton(f"unreachable states {unreachable}; encode reachable automata only")
@@ -113,21 +111,12 @@ def encode_fa(fa: Automaton) -> EncodingResult:
         all_actions=frozenset(enter) | frozenset(leave.values()),
     )
 
-    # K[i][j]: indices of actions labelling a transition from i to j.
-    outgoing: dict[tuple[int, int], set[int]] = {}
-    for t in fa.transitions:
-        outgoing.setdefault((t.source, t.target), set()).add(action_index[t.action])
-
     components = []
-    for i in range(n):
-        self_sum = _sum([Act(alphabet[k]) for k in sorted(outgoing.get((i, i), ()))])
-        leave_terms: list[Expression] = [
-            Act(leave[k, j])
-            for k, j in sorted(
-                (k, j) for (source, j), ks in outgoing.items() if source == i and j != i for k in ks
-            )
-        ]
-        leave_sum = _sum(leave_terms)
+    for i, moves in enumerate(fa.out()):
+        loops = sorted(action_index[action] for action, j in moves if j == i)
+        leaves = sorted((action_index[action], j) for action, j in moves if j != i)
+        self_sum = _sum([Act(alphabet[k]) for k in loops])
+        leave_sum = _sum([Act(leave[k, j]) for k, j in leaves])
         if i in fa.terminating:
             leave_sum = Alt(leave_sum, EMPTY)
         # Body left-associated: the a_k loop state then literally repeats

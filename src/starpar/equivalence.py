@@ -3,7 +3,7 @@ quotient minimisation, and automaton isomorphism."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -126,47 +126,30 @@ def minimize(a: Automaton) -> Automaton:
     bisimilar to each other.  State numbering is breadth-first from the
     initial block for determinism.
     """
-    block = _coarsest_partition(a.out(), [s in a.terminating for s in range(a.n_states)])
-    block_transitions: dict[int, list[tuple[Action, int]]] = {}
-    for t in a.transitions:
-        block_transitions.setdefault(block[t.source], []).append((t.action, block[t.target]))
-    initial_block = block[a.initial]
-    order: dict[int, int] = {initial_block: 0}
-    queue = deque([initial_block])
-    while queue:
-        current = queue.popleft()
-        for action, target in sorted(
-            set(block_transitions.get(current, ())), key=lambda x: (x[0].name, x[1])
-        ):
+    out = a.out()
+    block = _coarsest_partition(out, [s in a.terminating for s in range(a.n_states)])
+    first: dict[int, int] = {}
+    for s, bid in enumerate(block):
+        first.setdefault(bid, s)
+    # The partition is stable, so every member of a block has the same
+    # (action, block) moves: the quotient is read off each block's
+    # lowest-numbered state.  ``members`` grows while it is walked, which makes
+    # it the breadth-first queue; its i-th entry is the state read for new id i.
+    order = {block[a.initial]: 0}
+    members = [first[block[a.initial]]]
+    transitions = []
+    for source, member in enumerate(members):
+        moves = {(action, block[t]) for action, t in out[member]}
+        for action, target in sorted(moves, key=lambda x: (x[0].name, x[1])):
             if target not in order:
                 order[target] = len(order)
-                queue.append(target)
-
-    representative: dict[int, int] = {}
-    for s in range(a.n_states):
-        bid = block[s]
-        if bid in order and (bid not in representative or s < representative[bid]):
-            representative[bid] = s
-
-    labels: list[str | None] = [None] * len(order)
-    terminating = set()
-    for bid, new_id in order.items():
-        member = representative[bid]
-        labels[new_id] = a.labels[member]
-        if member in a.terminating:
-            terminating.add(new_id)
-    transitions = {
-        Transition(order[bid], action, order[target])
-        for bid, moves in block_transitions.items()
-        if bid in order
-        for action, target in moves
-        if target in order
-    }
+                members.append(first[target])
+            transitions.append(Transition(source, action, order[target]))
     return Automaton(
-        labels=tuple(labels),
+        labels=tuple(a.labels[s] for s in members),
         initial=0,
         transitions=tuple(transitions),
-        terminating=frozenset(terminating),
+        terminating=frozenset(i for i, s in enumerate(members) if s in a.terminating),
     )
 
 
