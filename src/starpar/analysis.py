@@ -56,13 +56,7 @@ class SccDecomposition:
 def scc_decompose(a: Automaton) -> SccDecomposition:
     """Tarjan's single-pass algorithm, iterative, with deterministic ids."""
     n = a.n_states
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    self_loop = [False] * n
-    for t in a.transitions:
-        adjacency[t.source].append(t.target)
-        if t.source == t.target:
-            self_loop[t.source] = True
-
+    adjacency = a._adjacency()[0]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -82,7 +76,7 @@ def scc_decompose(a: Automaton) -> SccDecomposition:
         work = [(root, iter(adjacency[root]))]
         while work:
             v, successors = work[-1]
-            for w in successors:
+            for _, w in successors:
                 if index[w] == -1:
                     index[w] = low[w] = counter
                     counter += 1
@@ -107,12 +101,13 @@ def scc_decompose(a: Automaton) -> SccDecomposition:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
 
+    looped = {s for s, row in enumerate(adjacency) for _, t in row if t == s}
     component_of = [0] * n
     trivial = []
     for cid, members in enumerate(components):
         for s in members:
             component_of[s] = cid
-        trivial.append(len(members) == 1 and not self_loop[members[0]])
+        trivial.append(len(members) == 1 and members[0] not in looped)
     return SccDecomposition(
         component_of=tuple(component_of),
         members=tuple(tuple(m) for m in components),
@@ -122,14 +117,12 @@ def scc_decompose(a: Automaton) -> SccDecomposition:
 
 def normed_states(a: Automaton) -> frozenset[int]:
     """States from which some terminating state is reachable."""
-    predecessors: list[list[int]] = [[] for _ in range(a.n_states)]
-    for t in a.transitions:
-        predecessors[t.target].append(t.source)
+    predecessors = a._adjacency()[1]
     seen = set(a.terminating)
     queue = deque(seen)
     while queue:
         state = queue.popleft()
-        for p in predecessors[state]:
+        for _, p in predecessors[state]:
             if p not in seen:
                 seen.add(p)
                 queue.append(p)

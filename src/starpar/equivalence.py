@@ -5,37 +5,45 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable
 
 from .semantics import Automaton, Transition
-from .syntax import Action
 
 
 def _coarsest_partition(
-    out: list[list[tuple[Hashable, int]]], seed: list[Hashable], counted: bool = False
+    automata: tuple[Automaton, ...], seed: list[Hashable], counted: bool = False
 ) -> list[int]:
-    """Relational coarsest partition refining the ``seed`` colouring.
+    """Relational coarsest partition of the disjoint union of ``automata``
+    (one automaton's states after another's) refining the ``seed`` colouring.
 
-    ``seed[i]`` is any hashable colour of state ``i``; states with unequal
-    colours never share a block.  Simple splitter style: states are repeatedly
-    regrouped by their one-step signature (current block plus the set of
-    (label, successor block) pairs) until the number of blocks stops growing.
-    Block ids are assigned by first occurrence in state order, so the result
-    depends only on the partition the seed induces, not on its colour values.
-    Seeded by the termination flag this is strong bisimilarity.  With
-    ``counted`` the signature holds the multiset of those pairs instead of
-    the set, which is colour refinement: run over labelled out- and in-edges
-    it is finer than bisimilarity and still preserved by every isomorphism.
+    States with unequal ``seed`` colours never share a block.  Simple
+    splitter style: states are repeatedly regrouped by their one-step
+    signature (current block plus the set of (action name, successor block)
+    pairs) until the number of blocks stops growing.  Block ids are assigned
+    by first occurrence in state order, so the result depends only on the
+    partition the seed induces.  Seeded by the termination flag this is
+    strong bisimilarity.  With ``counted`` the signature is the multiset of
+    those pairs plus ((action name,), predecessor block) pairs: colour
+    refinement over labelled out- and in-edges, finer than bisimilarity and
+    still preserved by every isomorphism.
     """
     block = seed
     count = len(set(block))
     while True:
         remap: dict[tuple[Hashable, frozenset], int] = {}
-        new = []
-        for i, moves in enumerate(out):
-            pairs = ((a, block[t]) for a, t in moves)
-            step = frozenset(Counter(pairs).items()) if counted else frozenset(pairs)
-            new.append(remap.setdefault((block[i], step), len(remap)))
+        new: list[int] = []
+        for m in automata:
+            succ, pred = m._adjacency()
+            local = block[len(new) : len(new) + m.n_states]  # m's states start at len(new)
+            for s, moves in enumerate(succ):
+                pairs = ((name, local[t]) for name, t in moves)
+                if counted:
+                    ins = (((name,), local[u]) for name, u in pred[s])
+                    step = frozenset(Counter(chain(pairs, ins)).items())
+                else:
+                    step = frozenset(pairs)
+                new.append(remap.setdefault((local[s], step), len(remap)))
         if len(remap) == count:
             return new
         block = new
@@ -58,14 +66,6 @@ class BisimResult:
     witness_relation: frozenset[tuple[int, int]] | None
 
 
-def _union_out(a: Automaton, b: Automaton) -> list[list[tuple[Action, int]]]:
-    out = a.out()
-    shifted: list[list[tuple[Action, int]]] = [
-        [(action, target + a.n_states) for action, target in row] for row in b.out()
-    ]
-    return out + shifted
-
-
 def _second_by_block(block: list[int], offset: int) -> dict[int, list[int]]:
     """States of the second automaton of a union, in increasing order, per block."""
     groups: dict[int, list[int]] = {}
@@ -77,7 +77,7 @@ def _second_by_block(block: list[int], offset: int) -> dict[int, list[int]]:
 def bisimilar(a: Automaton, b: Automaton) -> BisimResult:
     """Decide strong bisimilarity of the two initial states."""
     seed = [s in m.terminating for m in (a, b) for s in range(m.n_states)]
-    block = _coarsest_partition(_union_out(a, b), seed)
+    block = _coarsest_partition((a, b), seed)
     related = block[a.initial] == block[a.n_states + b.initial]
     witness = None
     if related:
@@ -100,8 +100,8 @@ def check_bisimulation(a: Automaton, b: Automaton, relation: Iterable[tuple[int,
             raise ValueError(f"pair ({s1}, {s2}) references invalid states")
     if (a.initial, b.initial) not in pairs:
         return False
-    a_out = a.out()
-    b_out = b.out()
+    a_out = a._adjacency()[0]
+    b_out = b._adjacency()[0]
     for s1, s2 in pairs:
         if (s1 in a.terminating) != (s2 in b.terminating):
             return False
@@ -126,8 +126,9 @@ def minimize(a: Automaton) -> Automaton:
     bisimilar to each other.  State numbering is breadth-first from the
     initial block for determinism.
     """
-    out = a.out()
-    block = _coarsest_partition(out, [s in a.terminating for s in range(a.n_states)])
+    out = a._adjacency()[0]
+    action_of = {t.action.name: t.action for t in a.transitions}
+    block = _coarsest_partition((a,), [s in a.terminating for s in range(a.n_states)])
     first: dict[int, int] = {}
     for s, bid in enumerate(block):
         first.setdefault(bid, s)
@@ -139,12 +140,11 @@ def minimize(a: Automaton) -> Automaton:
     members = [first[block[a.initial]]]
     transitions = []
     for source, member in enumerate(members):
-        moves = {(action, block[t]) for action, t in out[member]}
-        for action, target in sorted(moves, key=lambda x: (x[0].name, x[1])):
+        for name, target in sorted({(name, block[t]) for name, t in out[member]}):
             if target not in order:
                 order[target] = len(order)
                 members.append(first[target])
-            transitions.append(Transition(source, action, order[target]))
+            transitions.append(Transition(source, action_of[name], order[target]))
     return Automaton(
         labels=tuple(a.labels[s] for s in members),
         initial=0,
@@ -167,13 +167,6 @@ class IsoResult:
     mapping: tuple[int, ...] | None
 
 
-def _edge_labels(m: Automaton) -> dict[tuple[int, int], frozenset[Action]]:
-    labels: dict[tuple[int, int], set[Action]] = {}
-    for t in m.transitions:
-        labels.setdefault((t.source, t.target), set()).add(t.action)
-    return {k: frozenset(v) for k, v in labels.items()}
-
-
 def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     """Exact isomorphism on finite automata.
 
@@ -186,8 +179,11 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     lowest index first, so the returned bijection is the lexicographically
     least isomorphism.  Counting edges in both directions tells apart states
     that are bisimilar but differ in fan-out or predecessors, which keeps the
-    search from backtracking across them.  The mapping preserves the initial
-    state, termination flags, and labelled transitions in both directions.
+    search from backtracking across them.  A candidate is checked edge-locally,
+    as in VF2: only the state's labelled edges to itself and to states already
+    mapped are compared with the candidate's edges to assigned images.  The
+    mapping preserves the initial state, termination flags, and labelled
+    transitions in both directions.
     """
     if (
         a.n_states != b.n_states
@@ -197,51 +193,39 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
         return IsoResult(False, None)
     n = a.n_states
     seed = [(s == m.initial, s in m.terminating) for m in (a, b) for s in range(n)]
-    # Labelled out- and in-edges of the union.  The k-th action name labels
-    # an out-edge 2k and an in-edge 2k + 1: int labels keep the counted
-    # signatures cheap to hash, where an Action hashes in Python.
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    label: dict[str, int] = {}
-    for offset, m in ((0, a), (n, b)):
-        for t in m.transitions:
-            k = 2 * label.setdefault(t.action.name, len(label))
-            edges[offset + t.source].append((k, offset + t.target))
-            edges[offset + t.target].append((k + 1, offset + t.source))
-    block = _coarsest_partition(edges, seed, counted=True)
+    block = _coarsest_partition((a, b), seed, counted=True)
     second = _second_by_block(block, n)
     if Counter(block[:n]) != {bid: len(states) for bid, states in second.items()}:
         return IsoResult(False, None)
     candidates = [second[block[s]] for s in range(n)]
-    a_edges = _edge_labels(a)
-    b_edges = _edge_labels(b)
+    a_succ, a_pred = a._adjacency()
+    b_succ, b_pred = b._adjacency()
     mapping: list[int] = [-1] * n
-    used = [False] * n
+    inverse: list[int] = [-1] * n
     cursor = [0] * n
-
-    def consistent(s: int, t: int) -> bool:
-        for u in range(s + 1):
-            v = mapping[u] if u < s else t
-            if a_edges.get((u, s)) != b_edges.get((v, t)):
-                return False
-            if a_edges.get((s, u)) != b_edges.get((t, v)):
-                return False
-        return True
 
     # Depth-first over the states of ``a`` in order; ``cursor[s]`` is the next
     # candidate to try for state ``s`` when the search reaches or returns to it.
     s = 0
     while 0 <= s < n:
         if mapping[s] != -1:
-            used[mapping[s]] = False
+            inverse[mapping[s]] = -1
             mapping[s] = -1
         options = candidates[s]
         while cursor[s] < len(options):
             t = options[cursor[s]]
             cursor[s] += 1
-            if not used[t] and consistent(s, t):
-                mapping[s] = t
-                used[t] = True
-                break
+            if inverse[t] == -1:
+                mapping[s], inverse[t] = t, s
+                # States 0..s are now mapped: their edges to s in a must be
+                # exactly t's edges to the images, in both directions.
+                if {(x, mapping[u]) for x, u in a_succ[s] if u <= s} == {
+                    (x, v) for x, v in b_succ[t] if inverse[v] != -1
+                } and {(x, mapping[u]) for x, u in a_pred[s] if u <= s} == {
+                    (x, v) for x, v in b_pred[t] if inverse[v] != -1
+                }:
+                    break
+                mapping[s], inverse[t] = -1, -1
         if mapping[s] == -1:
             cursor[s] = 0
             s -= 1

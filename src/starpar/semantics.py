@@ -34,11 +34,15 @@ DEFAULT_MAX_STATES = 100_000
 
 
 class StateLimitExceeded(RuntimeError):
-    """Raised when a derivation reaches more distinct states than allowed."""
+    """Raised when a derivation reaches more distinct states than allowed.
+    Of the ``limit`` states reached, ``expanded`` had left the breadth-first
+    queue (the last one partly explored) and ``queued`` were still in it."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"state limit of {limit} exceeded")
+    def __init__(self, limit: int, expanded: int, queued: int):
+        super().__init__(f"state limit of {limit} exceeded: {expanded} expanded, {queued} queued")
         self.limit = limit
+        self.expanded = expanded
+        self.queued = queued
 
 
 class AutomatonFormatError(ValueError):
@@ -199,9 +203,25 @@ class Automaton:
             adjacency[t.source].append((t.action, t.target))
         return adjacency
 
+    def _adjacency(self) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
+        """Rows of (action name, target) and (action name, source) per state,
+        in stored transition order, for every graph walk.  Built on first use
+        and kept outside the fields, so ``==``, ``hash``, ``repr`` and
+        ``dataclasses.fields`` never see them; callers must not modify them."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            succ: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+            pred: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+            for t in self.transitions:
+                name = t.action.name
+                succ[t.source].append((name, t.target))
+                pred[t.target].append((name, t.source))
+            rows = self.__dict__["_rows"] = (succ, pred)
+        return rows
+
     def reachable(self) -> frozenset[int]:
         """States reachable from the initial state."""
-        adjacency = self.out()
+        adjacency = self._adjacency()[0]
         seen = {self.initial}
         queue = deque([self.initial])
         while queue:
@@ -250,7 +270,7 @@ def derive_automaton(
             target_index = index.get(target)
             if target_index is None:
                 if len(index) >= max_states:
-                    raise StateLimitExceeded(max_states)
+                    raise StateLimitExceeded(max_states, len(index) - len(queue), len(queue))
                 target_index = index[target] = len(index)
                 labels.append(label)
                 queue.append(target)

@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: the
 bisimilarity oracle deletes violating pairs from the full relation, the step
 oracle checks a single derivation rule at a time, the communication-function
-oracle evaluates every triple of the table closure, and the automaton builders
-assemble states and transitions directly.
+oracle evaluates every triple of the table closure, the isomorphism oracle
+tries every permutation, and the automaton builders assemble states and
+transitions directly.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from starpar import (
@@ -252,3 +254,17 @@ def is_isomorphism(a: Automaton, b: Automaton, mapping: tuple[int, ...]) -> bool
         return False
     image = {Transition(mapping[t.source], t.action, mapping[t.target]) for t in a.transitions}
     return image == set(b.transitions)
+
+
+def naive_least_isomorphism(a: Automaton, b: Automaton) -> tuple[int, ...] | None:
+    """The lexicographically least isomorphism from ``a`` to ``b``, found by
+    trying every permutation of ``a``'s states in lexicographic order; None
+    when there is none.  Brute force, so limited to 7 states."""
+    if a.n_states > 7:
+        raise ValueError("naive_least_isomorphism takes at most 7 states")
+    if a.n_states != b.n_states:
+        return None
+    for perm in itertools.permutations(range(a.n_states)):
+        if perm[a.initial] == b.initial and is_isomorphism(a, b, perm):
+            return perm
+    return None

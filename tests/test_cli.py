@@ -59,6 +59,12 @@ class TestLts:
     def test_state_limit_exit_code(self, capsys):
         assert run(["lts", "-e", "a.b.c", "--max-states", "2"]) == 3
 
+    def test_state_limit_says_how_far_derive_got(self, capsys):
+        assert run(["lts", "-e", "a || b || c", "--max-states", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state limit of 3 exceeded: 1 expanded, 2 queued\n"
+
     def test_deep_nesting_exit_code(self, tmp_path, capsys):
         """Too deep to parse or to derive: exit 3 and one error line, no traceback."""
         path = tmp_path / "chain.txt"

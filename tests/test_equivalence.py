@@ -16,7 +16,13 @@ from starpar import (
     scc_decompose,
 )
 from tests.samples import TWO_EXIT_LOOP_EXPR, two_exit_loop_automaton
-from tests.oracles import is_isomorphism, naive_bisimilar, permute_automaton, random_automaton
+from tests.oracles import (
+    is_isomorphism,
+    naive_bisimilar,
+    naive_least_isomorphism,
+    permute_automaton,
+    random_automaton,
+)
 
 
 class TestBisimilar:
@@ -213,6 +219,60 @@ class TestIsomorphic:
         assert result.isomorphic
         assert is_isomorphism(a, b, result.mapping)
 
+    def test_mapping_is_the_least_isomorphism(self):
+        """The mapping is exactly the brute-force least isomorphism, on
+        permuted copies and one-edge mutations of random, self-looped,
+        doubly-labelled and symmetric automata, and on unions of cycles."""
+        rng = random.Random(606)
+        found = 0
+        for i in range(600):
+            a = _iso_test_automaton(rng, i % 5)
+            perm = list(range(a.n_states))
+            rng.shuffle(perm)
+            b = permute_automaton(a, perm)
+            if i % 3 == 2 and i % 5 == 4:
+                # Colour refinement cannot tell cycle unions of one size apart.
+                b = _iso_test_automaton(rng, 4, a.n_states)
+            elif i % 3 == 2:
+                b = _one_edge_mutation(rng, b)
+            expected = naive_least_isomorphism(a, b)
+            result = isomorphic(a, b)
+            assert result.mapping == expected, (a, b)
+            assert result.isomorphic == (expected is not None)
+            found += expected is not None
+        assert 300 < found < 600
+
+    def test_edges_to_later_states_are_checked(self):
+        """A looped initial state beside a 6-cycle, against a relabelled copy.
+        Colour refinement leaves the cycle in one block, and a search that
+        compared only edges towards lower-numbered states would accept the
+        bijection (0, 1, 2, 6, 4, 3, 5), which is not an isomorphism."""
+
+        def looped_six_cycle(successor):
+            return Automaton(
+                labels=(None,) * 7,
+                initial=0,
+                transitions=tuple(Transition(s, Action("a"), t) for s, t in enumerate(successor)),
+                terminating=frozenset(),
+            )
+
+        a = looped_six_cycle([0, 6, 3, 5, 2, 1, 4])
+        b = looped_six_cycle([0, 6, 3, 1, 2, 4, 5])
+        assert isomorphic(a, b).mapping == naive_least_isomorphism(a, b) == (0, 1, 4, 2, 5, 3, 6)
+
+    def test_six_way_interleaving_against_a_shuffled_copy(self):
+        """4 096 states whose colour-refinement blocks stay large: the search
+        must not compare each candidate with every mapped state."""
+        a = derive_automaton(parse_expression(" || ".join(["(a.b+c)*.d"] * 6)))
+        perm = list(range(a.n_states))
+        random.Random(6).shuffle(perm)
+        b = permute_automaton(a, perm)
+        start = time.perf_counter()
+        result = isomorphic(a, b)
+        assert time.perf_counter() - start < 10
+        assert result.isomorphic
+        assert is_isomorphism(a, b, result.mapping)
+
     def test_isomorphism_implies_bisimilarity(self):
         rng = random.Random(23)
         for _ in range(20):
@@ -301,6 +361,68 @@ class TestSccLifting:
                         found = True
                         break
                 assert found
+
+
+def _iso_test_automaton(rng, kind, n=None):
+    """At most 7 states: 0 random, 1 random with self-loops, 2 random with two
+    actions between one pair of states, 3 a root with 2 or 3 identical
+    branches, so with non-trivial automorphisms, 4 a union of a-cycles on
+    ``n`` states, where every state has one a-successor and one a-predecessor."""
+    if kind == 4:
+        n = n or rng.randint(3, 7)
+        successor = list(range(n))
+        rng.shuffle(successor)
+        return Automaton(
+            labels=(None,) * n,
+            initial=0,
+            transitions=tuple(Transition(s, Action("a"), successor[s]) for s in range(n)),
+            terminating=frozenset(),
+        )
+    if kind == 3:
+        copies = rng.choice((2, 3))
+        branch = random_automaton(rng, max_states=6 // copies)
+        k = branch.n_states
+        transitions = []
+        for c in range(copies):
+            offset = 1 + c * k
+            transitions.append(Transition(0, Action("a"), offset + branch.initial))
+            transitions += [
+                Transition(offset + t.source, t.action, offset + t.target)
+                for t in branch.transitions
+            ]
+        return Automaton(
+            labels=(None,) * (1 + copies * k),
+            initial=0,
+            transitions=tuple(transitions),
+            terminating=frozenset(1 + c * k + s for c in range(copies) for s in branch.terminating),
+        )
+    a = random_automaton(rng, max_states=7)
+    n = a.n_states
+    extra = []
+    if kind == 1:
+        extra = [Transition(s, Action(rng.choice("ab")), s) for s in range(n) if rng.random() < 0.5]
+    elif kind == 2:
+        s, t = rng.randrange(n), rng.randrange(n)
+        extra = [Transition(s, Action("a"), t), Transition(s, Action("b"), t)]
+    return Automaton(a.labels, a.initial, a.transitions + tuple(extra), a.terminating)
+
+
+def _one_edge_mutation(rng, a):
+    """Retarget, relabel or drop one transition, or add one."""
+    transitions = list(a.transitions)
+    n = a.n_states
+    if not transitions or rng.random() < 0.25:
+        transitions.append(Transition(rng.randrange(n), Action(rng.choice("ab")), rng.randrange(n)))
+    else:
+        i = rng.randrange(len(transitions))
+        t = transitions.pop(i)
+        choice = rng.randrange(3)
+        if choice == 0:
+            transitions.append(Transition(t.source, t.action, rng.randrange(n)))
+        elif choice == 1:
+            other = "b" if t.action.name == "a" else "a"
+            transitions.append(Transition(t.source, Action(other), t.target))
+    return Automaton(a.labels, a.initial, tuple(transitions), a.terminating)
 
 
 def _reaches(auto, source, target):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -20,9 +22,15 @@ from starpar import (
     automaton_from_json,
     automaton_to_dot,
     automaton_to_json,
+    bisimilar,
+    check_bpa_property,
+    check_pa_property,
     derive_automaton,
     generate_random_expression,
+    isomorphic,
+    minimize,
     parse_expression,
+    scc_decompose,
     state_expressions,
     step,
     terminates,
@@ -153,6 +161,18 @@ class TestDerive:
         auto = derive_automaton(parse_expression("a.b.c"), EMPTY_COMM, max_states=4)
         assert auto.n_states == 4
 
+    def test_state_limit_reports_progress(self):
+        # The initial state's three successors reach the limit of 3 while it
+        # is expanded; two of them are queued.
+        with pytest.raises(StateLimitExceeded) as info:
+            derive_automaton(parse_expression("a || b || c"), max_states=3)
+        exc = info.value
+        assert (exc.limit, exc.expanded, exc.queued) == (3, 1, 2)
+        assert str(exc) == "state limit of 3 exceeded: 1 expanded, 2 queued"
+        with pytest.raises(StateLimitExceeded) as info:
+            derive_automaton(parse_expression("a.b.c"), max_states=2)
+        assert (info.value.expanded, info.value.queued) == (2, 0)
+
     def test_gamma_irrelevant_for_sequential_expressions(self):
         gamma = communicating_gamma()
         for seed in range(100):
@@ -162,6 +182,52 @@ class TestDerive:
     def test_transitions_sorted(self):
         auto = derive_automaton(parse_expression(COMMUNICATING_LOOP_EXPR), communicating_gamma())
         assert list(auto.transitions) == sorted(auto.transitions)
+
+
+class TestAdjacencyCache:
+    """The rows every graph walk reads are built once per automaton and kept
+    outside its fields: nothing observable about the automaton changes."""
+
+    @staticmethod
+    def _build():
+        return derive_automaton(parse_expression(COMMUNICATING_LOOP_EXPR), communicating_gamma())
+
+    @staticmethod
+    def _walk(auto):
+        return (
+            scc_decompose(auto),
+            check_bpa_property(auto),
+            check_pa_property(auto),
+            minimize(auto),
+            bisimilar(auto, auto),
+            isomorphic(auto, auto),
+        )
+
+    def test_cache_is_invisible(self):
+        used = self._build()
+        results = self._walk(used)
+        fresh = self._build()
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert dataclasses.fields(used) == dataclasses.fields(fresh)
+        assert dataclasses.astuple(used) == dataclasses.astuple(fresh)
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy == used
+        assert self._walk(copy) == results == self._walk(fresh)
+
+    @pytest.mark.parametrize("walk_first", [False, True])
+    def test_mutating_out_rows_changes_nothing(self, walk_first):
+        auto = self._build()
+        expected = (scc_decompose(auto), minimize(auto))
+        auto = self._build()
+        if walk_first:
+            scc_decompose(auto)
+        rows = auto.out()
+        for row in rows:
+            row.clear()
+        rows[0].append((Action("z"), 0))
+        assert (scc_decompose(auto), minimize(auto)) == expected
 
 
 class TestMemoLifetime:
