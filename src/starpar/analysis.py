@@ -140,10 +140,9 @@ class ExitTransition:
 def exit_transitions(a: Automaton, d: SccDecomposition, s: int) -> frozenset[ExitTransition]:
     """All (action, target) pairs from ``s`` whose target lies outside SCC(s)."""
     cid = d.component_of[s]
+    succ, _, action_of = a._adjacency()
     return frozenset(
-        ExitTransition(t.action, t.target)
-        for t in a.transitions
-        if t.source == s and d.component_of[t.target] != cid
+        ExitTransition(action_of[name], t) for name, t in succ[s] if d.component_of[t] != cid
     )
 
 
@@ -249,20 +248,20 @@ class PropertyReport:
 
 def _exit_structure(
     a: Automaton,
-) -> tuple[SccDecomposition, list[list[int]], list[frozenset[ExitTransition]]]:
+) -> tuple[SccDecomposition, list[list[int]], list[frozenset[tuple[str, int]]]]:
     """The SCCs, each SCC's alive exit states in increasing order, and each
-    state's normed exit set, from one scan of the transitions.
+    state's normed exit set, from one pass over the successor rows.
 
     Equal to ``alive_exit_states`` and ``normed_exit_transitions`` called on
-    every component and state, without their per-state rescans.
+    every component and state, with exits as (action name, target) pairs.
     """
     d = scc_decompose(a)
     normed = normed_states(a)
-    exits: list[set[ExitTransition]] = [set() for _ in range(a.n_states)]
-    for t in a.transitions:
-        if t.target in normed and d.component_of[t.source] != d.component_of[t.target]:
-            exits[t.source].add(ExitTransition(t.action, t.target))
-    extn = [frozenset(e) for e in exits]
+    component_of = d.component_of
+    extn = [
+        frozenset((x, t) for x, t in row if t in normed and component_of[t] != component_of[s])
+        for s, row in enumerate(a._adjacency()[0])
+    ]
     alive = [[s for s in members if s in a.terminating or extn[s]] for members in d.members]
     return d, alive, extn
 
@@ -272,9 +271,8 @@ def _state_name(a: Automaton, s: int) -> str:
     return f"{s} ({label})" if label is not None else str(s)
 
 
-def _render_exits(a: Automaton, exits: frozenset[ExitTransition]) -> str:
-    items = sorted((e.action.name, e.target) for e in exits)
-    return "{" + ", ".join(f"({name}, {_state_name(a, target)})" for name, target in items) + "}"
+def _render_exits(a: Automaton, exits: frozenset[tuple[str, int]]) -> str:
+    return "{" + ", ".join(f"({name}, {_state_name(a, t)})" for name, t in sorted(exits)) + "}"
 
 
 def check_bpa_property(a: Automaton) -> PropertyReport:
@@ -313,22 +311,17 @@ def check_pa_property(a: Automaton) -> PropertyReport:
         if not alive:
             continue
         classes = {
-            s: frozenset((e.action, d.component_of[e.target]) for e in extn[s]) for s in alive
+            s: frozenset((name, d.component_of[t]) for name, t in extn[s]) for s in alive
         }
-        required: set[tuple[Action, int]] = set()
+        required: set[tuple[str, int]] = set()
         for c in classes.values():
             required |= c
         if not any(classes[s] >= required for s in alive):
-            needed = sorted((action.name, target_scc) for action, target_scc in required)
             details = (
                 "no maximal alive exit state; required exit classes (action, target scc) = "
-                + str(needed)
+                + str(sorted(required))
                 + "; "
-                + "; ".join(
-                    f"{_state_name(a, s)} covers "
-                    + str(sorted((action.name, target_scc) for action, target_scc in classes[s]))
-                    for s in alive
-                )
+                + "; ".join(f"{_state_name(a, s)} covers " + str(sorted(classes[s])) for s in alive)
             )
             witnesses.append(Witness(cid, tuple(alive), details))
     verdict = "pass" if not witnesses else "fail"

@@ -15,13 +15,12 @@ from pathlib import Path
 
 from .analysis import (
     PropertyReport,
-    UnsupportedExpression,
     check_bpa_property,
     check_pa_property,
     oc_measure,
     scc_decompose,
 )
-from .encoding import InvalidAutomaton, encode_fa, encoding_manifest, verify_encoding
+from .encoding import encode_fa, encoding_manifest, verify_encoding
 from .equivalence import bisimilar, minimize
 from .semantics import (
     DEFAULT_MAX_STATES,
@@ -267,7 +266,7 @@ def run(argv: list[str]) -> int:
     except RecursionError:
         sys.stderr.write("error: expression nested too deeply\n")
         return EXIT_STATE_LIMIT
-    except (ValueError, UnsupportedExpression, InvalidAutomaton, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -34,7 +34,7 @@ def _coarsest_partition(
         remap: dict[tuple[Hashable, frozenset], int] = {}
         new: list[int] = []
         for m in automata:
-            succ, pred = m._adjacency()
+            succ, pred, _ = m._adjacency()
             local = block[len(new) : len(new) + m.n_states]  # m's states start at len(new)
             for s, moves in enumerate(succ):
                 pairs = ((name, local[t]) for name, t in moves)
@@ -126,8 +126,7 @@ def minimize(a: Automaton) -> Automaton:
     bisimilar to each other.  State numbering is breadth-first from the
     initial block for determinism.
     """
-    out = a._adjacency()[0]
-    action_of = {t.action.name: t.action for t in a.transitions}
+    out, _, action_of = a._adjacency()
     block = _coarsest_partition((a,), [s in a.terminating for s in range(a.n_states)])
     first: dict[int, int] = {}
     for s, bid in enumerate(block):
@@ -198,8 +197,8 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     if Counter(block[:n]) != {bid: len(states) for bid, states in second.items()}:
         return IsoResult(False, None)
     candidates = [second[block[s]] for s in range(n)]
-    a_succ, a_pred = a._adjacency()
-    b_succ, b_pred = b._adjacency()
+    a_succ, a_pred, _ = a._adjacency()
+    b_succ, b_pred, _ = b._adjacency()
     mapping: list[int] = [-1] * n
     inverse: list[int] = [-1] * n
     cursor = [0] * n

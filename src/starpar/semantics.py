@@ -194,30 +194,36 @@ class Automaton:
 
     def actions(self) -> tuple[Action, ...]:
         """Distinct transition labels, sorted by name."""
-        return tuple(sorted({t.action for t in self.transitions}))
+        return tuple(sorted(self._adjacency()[2].values()))
 
     def out(self) -> list[list[tuple[Action, int]]]:
         """Adjacency by source state, in stored transition order."""
-        adjacency: list[list[tuple[Action, int]]] = [[] for _ in range(self.n_states)]
-        for t in self.transitions:
-            adjacency[t.source].append((t.action, t.target))
-        return adjacency
+        succ, _, action_of = self._adjacency()
+        return [[(action_of[name], t) for name, t in row] for row in succ]
 
-    def _adjacency(self) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]]]:
-        """Rows of (action name, target) and (action name, source) per state,
-        in stored transition order, for every graph walk.  Built on first use
-        and kept outside the fields, so ``==``, ``hash``, ``repr`` and
-        ``dataclasses.fields`` never see them; callers must not modify them."""
+    def _adjacency(
+        self,
+    ) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]], dict[str, Action]]:
+        """``(succ, pred, action_of)`` from one scan of the transitions: rows of
+        (action name, target) and (action name, source) per state in stored
+        order, and each name's ``Action``.  Built on first use, kept outside the
+        fields and pickled state; callers must not modify them."""
         rows = self.__dict__.get("_rows")
         if rows is None:
             succ: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
             pred: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+            action_of: dict[str, Action] = {}
             for t in self.transitions:
                 name = t.action.name
+                action_of[name] = t.action
                 succ[t.source].append((name, t.target))
                 pred[t.target].append((name, t.source))
-            rows = self.__dict__["_rows"] = (succ, pred)
+            rows = self.__dict__["_rows"] = (succ, pred, action_of)
         return rows
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only; a copy rebuilds its rows on first use."""
+        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
 
     def reachable(self) -> frozenset[int]:
         """States reachable from the initial state."""

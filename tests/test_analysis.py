@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from starpar import (
@@ -33,6 +36,7 @@ from tests.samples import (
     COMMUNICATING_LOOP_EXPR,
     communicating_gamma,
 )
+from tests.oracles import random_automaton
 
 
 def _single_nontrivial(d):
@@ -214,6 +218,54 @@ class TestAlive:
         d = scc_decompose(auto)
         cid = d.component_of[0]
         assert alive_exit_states(auto, d, cid) == frozenset()
+
+
+class TestExitViews:
+    """The per-state views read the cached rows; they must give what a scan of
+    ``a.transitions`` gives."""
+
+    def test_views_agree_with_a_transition_scan(self):
+        rng = random.Random(4711)
+        seen = {"self-loop": 0, "parallel actions": 0, "unreachable": 0}
+        for _ in range(600):
+            a = random_automaton(rng, max_states=9, alphabet=rng.choice(("a", "ab", "abc")))
+            pairs = [(t.source, t.target) for t in a.transitions]
+            seen["self-loop"] += any(u == v for u, v in pairs)
+            seen["parallel actions"] += len(set(pairs)) < len(pairs)
+            seen["unreachable"] += len(a.reachable()) < a.n_states
+            d = scc_decompose(a)
+            normed = normed_states(a)
+            scanned = [set() for _ in range(a.n_states)]
+            out = [[] for _ in range(a.n_states)]
+            for t in a.transitions:
+                out[t.source].append((t.action, t.target))
+                if d.component_of[t.source] != d.component_of[t.target]:
+                    scanned[t.source].add(ExitTransition(t.action, t.target))
+            assert a.out() == out
+            assert a.actions() == tuple(sorted({t.action for t in a.transitions}))
+            extn = [frozenset(e for e in ext if e.target in normed) for ext in scanned]
+            for s in range(a.n_states):
+                assert exit_transitions(a, d, s) == scanned[s]
+                assert normed_exit_transitions(a, d, s) == extn[s]
+                assert normed_exit_transitions(a, d, s, normed) == extn[s]
+            for cid, members in enumerate(d.members):
+                alive = frozenset(s for s in members if s in a.terminating or extn[s])
+                assert alive_exit_states(a, d, cid) == alive
+                assert alive_exit_states(a, d, cid, normed) == alive
+        assert min(seen.values()) >= 50, seen
+
+    def test_every_view_of_a_six_way_interleaving(self):
+        """4 096 states and 40 231 transitions: a view costs the state's
+        out-degree, not a scan of every transition."""
+        a = derive_automaton(parse_expression(" || ".join(["(a.b+c)*.d"] * 6)))
+        start = time.perf_counter()
+        d = scc_decompose(a)
+        normed = normed_states(a)
+        exits = sum(len(exit_transitions(a, d, s)) for s in range(a.n_states))
+        extn = sum(len(normed_exit_transitions(a, d, s, normed)) for s in range(a.n_states))
+        alive = sum(len(alive_exit_states(a, d, cid, normed)) for cid in range(d.count))
+        assert time.perf_counter() - start < 5
+        assert exits == extn > 0 and alive > 0
 
 
 class TestOcMeasure:

@@ -285,3 +285,73 @@ def test_malformed_gamma_file_exits_cleanly(data):
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
     else:
         assert err.getvalue() == ""
+
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.integers(), st.floats(),
+              st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_ODD_VALUES = st.one_of(
+    _JSON, st.sampled_from([-1, 4, 1.0, True, "0", "", "encap", "1a", "a b", [], {}])
+)
+
+
+@st.composite
+def _near_valid_automata(draw):
+    """A valid automaton dict of up to four states, then up to three edits:
+    a key of the top level, a state or a transition dropped or replaced."""
+    n = draw(st.integers(1, 4))
+    states = [{"id": i, "terminating": draw(st.booleans())} for i in range(n)]
+    transitions = [
+        {"from": draw(st.integers(0, n - 1)), "action": draw(st.sampled_from("abc")),
+         "to": draw(st.integers(0, n - 1))}
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    obj = {"states": states, "initial": 0, "transitions": transitions}
+    for _ in range(draw(st.integers(0, 3))):
+        entry = draw(st.sampled_from([obj] + states + transitions))
+        key = draw(st.sampled_from(sorted(entry) + ["label"]))
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        else:
+            entry[key] = draw(_ODD_VALUES)
+    return obj
+
+
+def _run_on_automaton(obj) -> None:
+    """Every automaton-reading command gives exit 0 or 1 with no stderr, or
+    exit 2 or 3 with one ``error:`` line, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        path.write_text(json.dumps(obj))
+        for argv in (
+            ["scc", str(path)],
+            ["check", "--property", "pa", str(path)],
+            ["minimize", str(path)],
+            ["encode", str(path), "-o", str(Path(tmp) / "out")],
+            ["verify-encoding", str(path), "--max-states", "200"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code in (0, 1):
+                assert err.getvalue() == "", argv
+            else:
+                assert err.getvalue().startswith("error: "), argv
+                assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_JSON)
+def test_arbitrary_json_automaton_exits_cleanly(obj):
+    _run_on_automaton(obj)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_near_valid_automata())
+def test_near_valid_automaton_exits_cleanly(obj):
+    _run_on_automaton(obj)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -215,6 +216,16 @@ class TestAdjacencyCache:
         copy = pickle.loads(pickle.dumps(used))
         assert copy == used
         assert self._walk(copy) == results == self._walk(fresh)
+
+    def test_pickles_and_copies_leave_the_rows_out(self):
+        auto = self._build()
+        size = len(pickle.dumps(auto))
+        results = self._walk(auto)
+        assert len(pickle.dumps(auto)) == size
+        for dup in (copy.copy(auto), copy.deepcopy(auto), pickle.loads(pickle.dumps(auto))):
+            assert dup == auto
+            assert "_rows" not in dup.__dict__
+            assert self._walk(dup) == results
 
     @pytest.mark.parametrize("walk_first", [False, True])
     def test_mutating_out_rows_changes_nothing(self, walk_first):
