@@ -116,17 +116,23 @@ def scc_decompose(a: Automaton) -> SccDecomposition:
 
 
 def normed_states(a: Automaton) -> frozenset[int]:
-    """States from which some terminating state is reachable."""
-    predecessors = a._adjacency()[1]
-    seen = set(a.terminating)
-    queue = deque(seen)
-    while queue:
-        state = queue.popleft()
-        for _, p in predecessors[state]:
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return frozenset(seen)
+    """States from which some terminating state is reachable.
+
+    Computed on the first call for an automaton and kept in its instance
+    dict beside the cached rows, outside the fields and pickled state."""
+    normed = a.__dict__.get("_normed")
+    if normed is None:
+        predecessors = a._adjacency()[1]
+        seen = set(a.terminating)
+        queue = deque(seen)
+        while queue:
+            state = queue.popleft()
+            for _, p in predecessors[state]:
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+        normed = a.__dict__["_normed"] = frozenset(seen)
+    return normed
 
 
 @dataclass(frozen=True, order=True)

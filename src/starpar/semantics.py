@@ -2,16 +2,20 @@
 
 States of a derived automaton are literal expressions; no simplification such
 as ``1.p -> p`` is applied, so two states are identical exactly when their
-ASTs are structurally equal.
+ASTs are structurally equal.  Within one derivation every node is taken from
+a table of canonical nodes, one object per distinct subterm, so the rules
+recognise equal states by identity and never hash or compare a tree.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
 
 from .syntax import (
+    DEADLOCK,
     EMPTY,
     EMPTY_COMM,
     Act,
@@ -50,26 +54,88 @@ class AutomatonFormatError(ValueError):
 
 
 class _Rules:
-    """The SOS rules, memoised per expression node.
+    """The SOS rules over canonical nodes, for one call.
 
-    ``terminates`` and ``step`` remember every node they have decided, so a
-    subterm shared by many states is stepped once.  The memo dicts belong to
-    the instance: one ``derive_automaton`` call, or one call of the public
-    ``step`` or ``terminates``.  Nothing is cached across calls, and the step
-    memo only ever sees the one communication function it was built with.
-    Each rule recurses straight into the same method, one frame per nesting
-    level.
+    An instance serves one ``derive_automaton`` call, or one call of the
+    public ``step`` or ``terminates``, and nothing outlives it.  ``canonical``
+    maps the input tree to nodes of the instance's table, bottom-up and
+    without recursion, and every node the rules build goes through the same
+    table.  Its key is (node type, id of each canonical child); ``Act`` nodes
+    are keyed by action name, ``Encap`` nodes by (blocked set, id of the
+    body) and ``0``/``1`` by type.  Structurally equal terms are therefore one
+    object, and ``terminates`` and ``step``, the render memo and derive's
+    state index are memoised by ``id()`` without hashing or comparing a tree.
+
+    Invariant: the table holds every canonical node until the instance is
+    dropped, so no id used as a key is reused while the call runs.  A node's
+    moves are a tuple of (action, canonical target) pairs, no two with the
+    same action name and target.  The step memo only ever sees the one
+    communication function it was built with.  Each rule recurses straight
+    into the same method, one frame per nesting level.
     """
 
-    __slots__ = ("comm", "_terminates", "_steps")
+    __slots__ = ("_comm", "_table", "_terminates", "_steps")
 
     def __init__(self, comm: CommFn):
-        self.comm = comm
-        self._terminates: dict[Expression, bool] = {}
-        self._steps: dict[Expression, frozenset[tuple[Action, Expression]]] = {}
+        # gamma keyed by action names: a lookup hashes two strings, not two Actions
+        self._comm = {(a.name, b.name): c for (a, b), c in comm._table.items()}
+        self._table: dict[tuple, Expression] = {(Deadlock,): DEADLOCK, (Empty,): EMPTY}
+        self._terminates: dict[int, bool] = {}
+        self._steps: dict[int, tuple[tuple[Action, Expression], ...]] = {}
+
+    def canonical(self, e: Expression) -> Expression:
+        """The table's node structurally equal to ``e``.  An input node whose
+        children are already canonical joins the table as it is."""
+        table = self._table
+        canon: dict[int, Expression] = {}
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            match node:
+                case Seq(left, right) | Alt(left, right) | Par(left, right):
+                    children = (left, right)
+                case Star(body) | Encap(_, body):
+                    children = (body,)
+                case Act() | Empty() | Deadlock():
+                    children = ()
+                case _:
+                    raise TypeError(f"not an expression: {node!r}")
+            pending = [child for child in children if id(child) not in canon]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if id(node) in canon:
+                continue
+            parts = [canon[id(child)] for child in children]
+            kind = type(node)
+            if kind is Act:
+                key = (Act, node.action.name)
+            elif kind is Encap:
+                key = (Encap, node.blocked, id(parts[0]))
+            else:
+                key = (kind, *map(id, parts))
+            found = table.get(key)
+            if found is None:
+                if all(map(operator.is_, parts, children)):
+                    found = node
+                elif kind is Encap:
+                    found = Encap(node.blocked, parts[0])
+                else:
+                    found = kind(*parts)
+                table[key] = found
+            canon[id(node)] = found
+        return canon[id(e)]
+
+    def _pair(self, kind: type, left: Expression, right: Expression) -> Expression:
+        key = (kind, id(left), id(right))
+        node = self._table.get(key)
+        if node is None:
+            node = self._table[key] = kind(left, right)
+        return node
 
     def terminates(self, e: Expression) -> bool:
-        done = self._terminates.get(e)
+        done = self._terminates.get(id(e))
         if done is not None:
             return done
         match e:
@@ -83,54 +149,64 @@ class _Rules:
                 done = self.terminates(left) and self.terminates(right)
             case Encap(_, body):
                 done = self.terminates(body)
-            case _:
-                raise TypeError(f"not an expression: {e!r}")
-        self._terminates[e] = done
+        self._terminates[id(e)] = done
         return done
 
-    def step(self, e: Expression) -> frozenset[tuple[Action, Expression]]:
-        moves = self._steps.get(e)
+    def step(self, e: Expression) -> tuple[tuple[Action, Expression], ...]:
+        moves = self._steps.get(id(e))
         if moves is not None:
             return moves
+        pair = self._pair
         match e:
             case Deadlock() | Empty():
-                moves = frozenset()
+                moves = ()
             case Act(action):
-                moves = frozenset({(action, EMPTY)})
+                moves = ((action, EMPTY),)
             case Alt(left, right):
-                moves = self.step(left) | self.step(right)
+                moves = _distinct(self.step(left) + self.step(right))
             case Seq(left, right):
-                found = {(a, Seq(left2, right)) for a, left2 in self.step(left)}
+                moves = tuple((a, pair(Seq, left2, right)) for a, left2 in self.step(left))
                 if self.terminates(left):
-                    found |= self.step(right)
-                moves = frozenset(found)
+                    moves = _distinct(moves + self.step(right))
             case Star(body):
-                moves = frozenset({(a, Seq(body2, e)) for a, body2 in self.step(body)})
+                moves = tuple((a, pair(Seq, body2, e)) for a, body2 in self.step(body))
             case Par(left, right):
                 lsteps = self.step(left)
                 rsteps = self.step(right)
-                found = {(a, Par(left2, right)) for a, left2 in lsteps}
-                found |= {(a, Par(left, right2)) for a, right2 in rsteps}
-                lookup = self.comm.lookup
-                for a, left2 in lsteps:
-                    for b, right2 in rsteps:
-                        c = lookup(a, b)
-                        if c is not None:
-                            found.add((c, Par(left2, right2)))
-                moves = frozenset(found)
+                found = [(a, pair(Par, left2, right)) for a, left2 in lsteps]
+                found += [(a, pair(Par, left, right2)) for a, right2 in rsteps]
+                comm = self._comm
+                if comm:
+                    for a, left2 in lsteps:
+                        for b, right2 in rsteps:
+                            c = comm.get((a.name, b.name))
+                            if c is not None:
+                                found.append((c, pair(Par, left2, right2)))
+                moves = _distinct(found)
             case Encap(blocked, body):
-                moves = frozenset(
-                    {(a, Encap(blocked, body2)) for a, body2 in self.step(body) if a not in blocked}
-                )
-            case _:
-                raise TypeError(f"not an expression: {e!r}")
-        self._steps[e] = moves
+                table = self._table
+                found = []
+                for a, body2 in self.step(body):
+                    if a not in blocked:
+                        key = (Encap, blocked, id(body2))
+                        node = table.get(key)
+                        if node is None:
+                            node = table[key] = Encap(blocked, body2)
+                        found.append((a, node))
+                moves = tuple(found)
+        self._steps[id(e)] = moves
         return moves
+
+
+def _distinct(moves) -> tuple[tuple[Action, Expression], ...]:
+    """Canonical moves without repeats, in first-seen order."""
+    return tuple({(a.name, id(target)): (a, target) for a, target in moves}.values())
 
 
 def terminates(e: Expression) -> bool:
     """Decide the termination predicate on expressions."""
-    return _Rules(EMPTY_COMM).terminates(e)
+    rules = _Rules(EMPTY_COMM)
+    return rules.terminates(rules.canonical(e))
 
 
 def step(e: Expression, comm: CommFn = EMPTY_COMM) -> frozenset[tuple[Action, Expression]]:
@@ -140,9 +216,10 @@ def step(e: Expression, comm: CommFn = EMPTY_COMM) -> frozenset[tuple[Action, Ex
     defined on a pair of simultaneously enabled actions, also offers the
     communication step labelled with the result.  Passing the empty
     communication function gives the pure interleaving semantics.  The
-    subterm memo lives for this one call only.
+    node table and the memos live for this one call only.
     """
-    return _Rules(comm).step(e)
+    rules = _Rules(comm)
+    return frozenset(rules.step(rules.canonical(e)))
 
 
 @dataclass(frozen=True, order=True)
@@ -172,9 +249,9 @@ class Automaton:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(
-            self, "transitions", tuple(sorted(set(self.transitions), key=_transition_key))
-        )
+        # Deduplicated by key tuple: set() would hash every Transition and Action in Python.
+        by_key = {_transition_key(t): t for t in self.transitions}
+        object.__setattr__(self, "transitions", tuple(by_key[k] for k in sorted(by_key)))
         object.__setattr__(self, "terminating", frozenset(self.terminating))
         n = len(self.labels)
         if n == 0:
@@ -222,8 +299,10 @@ class Automaton:
         return rows
 
     def __getstate__(self) -> dict:
-        """Pickle and copy the fields only; a copy rebuilds its rows on first use."""
-        return {k: v for k, v in self.__dict__.items() if k != "_rows"}
+        """Pickle and copy the fields only, not the caches kept under
+        underscore names (the rows, ``analysis.normed_states``); a copy
+        rebuilds them on first use."""
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def reachable(self) -> frozenset[int]:
         """States reachable from the initial state."""
@@ -249,22 +328,23 @@ def derive_automaton(
     States are numbered in discovery order, with each state's successors
     explored sorted by (action name, rendered successor); labels carry the
     rendered expressions.  Raises StateLimitExceeded once more than
-    ``max_states`` distinct expressions have been reached.  Termination,
-    steps and labels are memoised per subterm for this call only; the memo
-    is dropped when it returns.
+    ``max_states`` distinct expressions have been reached.  The canonical
+    node table, and the termination, step and label memos keyed by node id,
+    live for this call only and are dropped when it returns.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
     rules = _Rules(comm)
-    rendered: dict[Expression, str] = {}
-    index: dict[Expression, int] = {e: 0}
+    e = rules.canonical(e)
+    rendered: dict[int, str] = {}
+    index: dict[int, int] = {id(e): 0}
     labels: list[str] = [render_memoised(e, rendered)]
     queue: deque[Expression] = deque([e])
     transitions: list[Transition] = []
     terminating: set[int] = set()
     while queue:
         current = queue.popleft()
-        source = index[current]
+        source = index[id(current)]
         if rules.terminates(current):
             terminating.add(source)
         successors = [
@@ -273,11 +353,11 @@ def derive_automaton(
         ]
         successors.sort(key=lambda item: (item[0], item[1]))
         for _, label, action, target in successors:
-            target_index = index.get(target)
+            target_index = index.get(id(target))
             if target_index is None:
                 if len(index) >= max_states:
                     raise StateLimitExceeded(max_states, len(index) - len(queue), len(queue))
-                target_index = index[target] = len(index)
+                target_index = index[id(target)] = len(index)
                 labels.append(label)
                 queue.append(target)
             transitions.append(Transition(source, action, target_index))
@@ -364,6 +444,7 @@ def automaton_from_dict(obj: object) -> Automaton:
     if not isinstance(raw_transitions, list):
         raise AutomatonFormatError("'transitions' must be an array")
     transitions = []
+    actions: dict[str, Action] = {}  # one Action, and one name check, per distinct name
     for entry in raw_transitions:
         if not isinstance(entry, dict):
             raise AutomatonFormatError("each transition must be an object")
@@ -373,10 +454,12 @@ def automaton_from_dict(obj: object) -> Automaton:
             raise AutomatonFormatError(f"transition missing key {exc.args[0]!r}") from exc
         if not _is_state_id(source) or not _is_state_id(target) or not isinstance(name, str):
             raise AutomatonFormatError(f"malformed transition {entry!r}")
-        try:
-            action = Action(name)
-        except ValueError as exc:
-            raise AutomatonFormatError(str(exc)) from exc
+        action = actions.get(name)
+        if action is None:
+            try:
+                action = actions[name] = Action(name)
+            except ValueError as exc:
+                raise AutomatonFormatError(str(exc)) from exc
         transitions.append(Transition(source, action, target))
     try:
         return Automaton(

@@ -335,14 +335,17 @@ def render_expression(e: Expression) -> str:
     return render_memoised(e, {})
 
 
-def render_memoised(e: Expression, memo: dict[Expression, str]) -> str:
+def render_memoised(e: Expression, memo: dict[int, str]) -> str:
     """``render_expression`` of ``e``, reusing and extending ``memo``, which
-    maps every subterm rendered so far to its text without outer parentheses.
+    maps the ``id()`` of every subterm rendered so far to its text without
+    outer parentheses.  The caller keeps every node it renders alive while it
+    uses the memo, so no id in it is reused.
 
-    States derived from one expression share most of their subterms, so one
-    memo per derivation renders each distinct subterm once.
+    States derived from one expression share most of their subterms, and
+    derivation makes structurally equal subterms one object, so one memo per
+    derivation renders each distinct subterm once.
     """
-    text = memo.get(e)
+    text = memo.get(id(e))
     if text is not None:
         return text
     kind = type(e)
@@ -364,7 +367,7 @@ def render_memoised(e: Expression, memo: dict[Expression, str]) -> str:
         text = f"encap{{{blocked}}}({render_memoised(e.body, memo)})"
     else:  # pragma: no cover
         raise TypeError(f"not an expression: {e!r}")
-    memo[e] = text
+    memo[id(e)] = text
     return text
 
 

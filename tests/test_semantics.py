@@ -225,6 +225,7 @@ class TestAdjacencyCache:
         for dup in (copy.copy(auto), copy.deepcopy(auto), pickle.loads(pickle.dumps(auto))):
             assert dup == auto
             assert "_rows" not in dup.__dict__
+            assert "_normed" not in dup.__dict__
             assert self._walk(dup) == results
 
     @pytest.mark.parametrize("walk_first", [False, True])
@@ -262,6 +263,61 @@ class TestMemoLifetime:
             for source, state in enumerate(states):
                 expected = {(action, states[target]) for action, target in out[source]}
                 assert step(state, comm) == expected
+
+
+class TestCanonicalNodes:
+    """Derivation makes structurally equal subterms one object.  An input tree
+    holding equal subterms as distinct objects derives exactly what the tree
+    sharing them derives."""
+
+    @staticmethod
+    def _cases():
+        p = parse_expression("(a.b+c)*.d")
+        q = parse_expression(COMMUNICATING_LOOP_EXPR)
+        gamma = communicating_gamma()
+        blocked = frozenset({Action("b"), Action("c")})
+        # Equal blocked sets, but distinct objects holding distinct Actions.
+        blocked_copy = frozenset({Action("c"), Action("b")})
+        dup = copy.deepcopy
+        return [
+            (Par(p, p), Par(p, dup(p)), EMPTY_COMM),
+            (Par(q, q), Par(dup(q), dup(q)), gamma),
+            (Par(Par(q, q), q), Par(Par(q, dup(q)), dup(q)), gamma),
+            (Encap(blocked, Par(q, q)), Encap(blocked_copy, Par(q, dup(q))), gamma),
+            (
+                Par(Encap(blocked, q), Encap(blocked, q)),
+                Par(Encap(blocked, q), Encap(blocked_copy, dup(q))),
+                gamma,
+            ),
+            (Seq(Star(p), Par(p, Star(p))), Seq(Star(dup(p)), Par(p, Star(dup(p)))), EMPTY_COMM),
+            (Alt(Seq(p, p), Seq(p, p)), Alt(Seq(p, dup(p)), dup(Seq(p, p))), EMPTY_COMM),
+        ]
+
+    def test_copies_derive_what_shared_objects_derive(self):
+        for shared, copied, gamma in self._cases():
+            assert copied == shared and copied is not shared
+            expected = derive_automaton(shared, gamma)
+            auto = derive_automaton(copied, gamma)
+            assert auto.n_states == expected.n_states
+            assert auto.transitions == expected.transitions
+            assert auto == expected
+            states = state_expressions(auto)
+            for t in auto.transitions:
+                assert rule_derivable(states[t.source], t.action, states[t.target], gamma)
+
+    def test_public_step_and_terminates_on_copied_subterms(self):
+        def terminates_by_rule(e):
+            if isinstance(e, (Seq, Par)):
+                return terminates_by_rule(e.left) and terminates_by_rule(e.right)
+            if isinstance(e, Alt):
+                return terminates_by_rule(e.left) or terminates_by_rule(e.right)
+            return e == EMPTY or isinstance(e, Star)
+
+        for seed in range(150):
+            p = generate_random_expression(Theory.PA, 5, seed)
+            for e in (p, Par(p, copy.deepcopy(p)), Seq(copy.deepcopy(p), Alt(p, copy.deepcopy(p)))):
+                assert step(e) == interleaving_step(e)
+                assert terminates(e) == terminates_by_rule(e)
 
 
 class TestDeepNesting:
