@@ -5,7 +5,6 @@ interleaving."""
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .semantics import Automaton
@@ -56,7 +55,7 @@ class SccDecomposition:
 def scc_decompose(a: Automaton) -> SccDecomposition:
     """Tarjan's single-pass algorithm, iterative, with deterministic ids."""
     n = a.n_states
-    adjacency = a._adjacency()[0]
+    adjacency = a._rows[0]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -116,23 +115,9 @@ def scc_decompose(a: Automaton) -> SccDecomposition:
 
 
 def normed_states(a: Automaton) -> frozenset[int]:
-    """States from which some terminating state is reachable.
-
-    Computed on the first call for an automaton and kept in its instance
-    dict beside the cached rows, outside the fields and pickled state."""
-    normed = a.__dict__.get("_normed")
-    if normed is None:
-        predecessors = a._adjacency()[1]
-        seen = set(a.terminating)
-        queue = deque(seen)
-        while queue:
-            state = queue.popleft()
-            for _, p in predecessors[state]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        normed = a.__dict__["_normed"] = frozenset(seen)
-    return normed
+    """States from which some terminating state is reachable, walked once
+    per automaton and kept beside its cached rows."""
+    return a._normed
 
 
 @dataclass(frozen=True, order=True)
@@ -146,7 +131,7 @@ class ExitTransition:
 def exit_transitions(a: Automaton, d: SccDecomposition, s: int) -> frozenset[ExitTransition]:
     """All (action, target) pairs from ``s`` whose target lies outside SCC(s)."""
     cid = d.component_of[s]
-    succ, _, action_of = a._adjacency()
+    succ, _, action_of = a._rows
     return frozenset(
         ExitTransition(action_of[name], t) for name, t in succ[s] if d.component_of[t] != cid
     )
@@ -266,7 +251,7 @@ def _exit_structure(
     component_of = d.component_of
     extn = [
         frozenset((x, t) for x, t in row if t in normed and component_of[t] != component_of[s])
-        for s, row in enumerate(a._adjacency()[0])
+        for s, row in enumerate(a._rows[0])
     ]
     alive = [[s for s in members if s in a.terminating or extn[s]] for members in d.members]
     return d, alive, extn

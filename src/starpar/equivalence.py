@@ -34,7 +34,7 @@ def _coarsest_partition(
         remap: dict[tuple[Hashable, frozenset], int] = {}
         new: list[int] = []
         for m in automata:
-            succ, pred, _ = m._adjacency()
+            succ, pred, _ = m._rows
             local = block[len(new) : len(new) + m.n_states]  # m's states start at len(new)
             for s, moves in enumerate(succ):
                 pairs = ((name, local[t]) for name, t in moves)
@@ -100,8 +100,8 @@ def check_bisimulation(a: Automaton, b: Automaton, relation: Iterable[tuple[int,
             raise ValueError(f"pair ({s1}, {s2}) references invalid states")
     if (a.initial, b.initial) not in pairs:
         return False
-    a_out = a._adjacency()[0]
-    b_out = b._adjacency()[0]
+    a_out = a._rows[0]
+    b_out = b._rows[0]
     for s1, s2 in pairs:
         if (s1 in a.terminating) != (s2 in b.terminating):
             return False
@@ -126,7 +126,7 @@ def minimize(a: Automaton) -> Automaton:
     bisimilar to each other.  State numbering is breadth-first from the
     initial block for determinism.
     """
-    out, _, action_of = a._adjacency()
+    out, _, action_of = a._rows
     block = _coarsest_partition((a,), [s in a.terminating for s in range(a.n_states)])
     first: dict[int, int] = {}
     for s, bid in enumerate(block):
@@ -197,8 +197,8 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     if Counter(block[:n]) != {bid: len(states) for bid, states in second.items()}:
         return IsoResult(False, None)
     candidates = [second[block[s]] for s in range(n)]
-    a_succ, a_pred, _ = a._adjacency()
-    b_succ, b_pred, _ = b._adjacency()
+    a_succ, a_pred, _ = a._rows
+    b_succ, b_pred, _ = b._rows
     mapping: list[int] = [-1] * n
     inverse: list[int] = [-1] * n
     cursor = [0] * n

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     DEADLOCK,
@@ -271,51 +273,55 @@ class Automaton:
 
     def actions(self) -> tuple[Action, ...]:
         """Distinct transition labels, sorted by name."""
-        return tuple(sorted(self._adjacency()[2].values()))
+        return tuple(sorted(self._rows[2].values()))
 
     def out(self) -> list[list[tuple[Action, int]]]:
         """Adjacency by source state, in stored transition order."""
-        succ, _, action_of = self._adjacency()
+        succ, _, action_of = self._rows
         return [[(action_of[name], t) for name, t in row] for row in succ]
 
-    def _adjacency(
+    @cached_property
+    def _rows(
         self,
     ) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]], dict[str, Action]]:
         """``(succ, pred, action_of)`` from one scan of the transitions: rows of
         (action name, target) and (action name, source) per state in stored
-        order, and each name's ``Action``.  Built on first use, kept outside the
-        fields and pickled state; callers must not modify them."""
-        rows = self.__dict__.get("_rows")
-        if rows is None:
-            succ: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-            pred: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
-            action_of: dict[str, Action] = {}
-            for t in self.transitions:
-                name = t.action.name
-                action_of[name] = t.action
-                succ[t.source].append((name, t.target))
-                pred[t.target].append((name, t.source))
-            rows = self.__dict__["_rows"] = (succ, pred, action_of)
-        return rows
+        order, and each name's ``Action``.  Callers must not modify them."""
+        succ: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+        pred: list[list[tuple[str, int]]] = [[] for _ in range(self.n_states)]
+        action_of: dict[str, Action] = {}
+        for t in self.transitions:
+            name = t.action.name
+            action_of[name] = t.action
+            succ[t.source].append((name, t.target))
+            pred[t.target].append((name, t.source))
+        return succ, pred, action_of
+
+    @cached_property
+    def _normed(self) -> frozenset[int]:
+        """States from which some terminating state is reachable."""
+        return _closure(self._rows[1], self.terminating)
 
     def __getstate__(self) -> dict:
-        """Pickle and copy the fields only, not the caches kept under
-        underscore names (the rows, ``analysis.normed_states``); a copy
-        rebuilds them on first use."""
+        """Pickle and copy the fields only, not the cached properties
+        (``_rows``, ``_normed``); a copy rebuilds them on first use."""
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def reachable(self) -> frozenset[int]:
         """States reachable from the initial state."""
-        adjacency = self._adjacency()[0]
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            state = queue.popleft()
-            for _, target in adjacency[state]:
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        return frozenset(seen)
+        return _closure(self._rows[0], (self.initial,))
+
+
+def _closure(rows: list[list[tuple[str, int]]], start: Iterable[int]) -> frozenset[int]:
+    """States reachable from ``start`` along ``rows``, breadth first."""
+    seen = set(start)
+    queue = deque(seen)
+    while queue:
+        for _, s in rows[queue.popleft()]:
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return frozenset(seen)
 
 
 def derive_automaton(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -47,73 +46,57 @@ class Action:
 
 
 class Expression:
-    """Base class of the eight expression variants.
+    """Marker base class of the eight expression variants.
 
-    A node's hash is computed on the first ``hash()`` call and kept in the
-    node, so a dict lookup costs one hash of the root instead of a walk of the
-    whole tree.  The cached value is not a field: ``==``, ``repr`` and pattern
-    matching see only the node's structure.
+    Each variant is a frozen slotted dataclass, so ``==``, ``hash``, ``repr``,
+    pickling and pattern matching are the generated ones and see only the
+    node's fields.  Equality and hashing are structural and walk the whole
+    tree; derivation avoids both by working on canonical nodes (see
+    ``semantics._Rules``).
     """
 
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        value = getattr(self, "_hash", None)
-        if value is None:
-            value = hash((type(self), self._fields_of(self)))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __slots__ = ()
 
 
-def _node(cls):
-    """Frozen slotted dataclass hashed by the cached ``Expression.__hash__``."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Expression.__hash__
-    # Field values fetched in C, so hashing a fresh tree recurses through
-    # __hash__ alone.  Deadlock and Empty have no fields: the class is the value.
-    cls._fields_of = attrgetter(*cls.__match_args__ or ("__class__",))
-    return cls
-
-
-@_node
+@dataclass(frozen=True, slots=True)
 class Deadlock(Expression):
     """The process with no transitions and no termination, written ``0``."""
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Empty(Expression):
     """The successfully terminated process, written ``1``."""
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Act(Expression):
     action: Action
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Seq(Expression):
     left: Expression
     right: Expression
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Alt(Expression):
     left: Expression
     right: Expression
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Star(Expression):
     body: Expression
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Par(Expression):
     left: Expression
     right: Expression
 
 
-@_node
+@dataclass(frozen=True, slots=True)
 class Encap(Expression):
     blocked: frozenset[Action]
     body: Expression
@@ -400,10 +383,6 @@ class CommFn:
 
     def lookup(self, a: Action, b: Action) -> Action | None:
         return self._table.get((a, b))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._table
 
     def pairs(self) -> list[tuple[Action, Action, Action]]:
         """All rules as (a, b, result) with a <= b, sorted."""

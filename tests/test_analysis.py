@@ -221,8 +221,8 @@ class TestAlive:
 
 
 class TestExitViews:
-    """The per-state views read the cached rows; they must give what a scan of
-    ``a.transitions`` gives."""
+    """The per-state views and the reachable and normed sets read the cached
+    rows; they must give what a scan of ``a.transitions`` gives."""
 
     def test_views_agree_with_a_transition_scan(self):
         rng = random.Random(4711)
@@ -243,6 +243,19 @@ class TestExitViews:
                     scanned[t.source].add(ExitTransition(t.action, t.target))
             assert a.out() == out
             assert a.actions() == tuple(sorted({t.action for t in a.transitions}))
+            reached, normed_fix = {a.initial}, set(a.terminating)
+            grown = True
+            while grown:
+                grown = False
+                for t in a.transitions:
+                    if t.source in reached and t.target not in reached:
+                        reached.add(t.target)
+                        grown = True
+                    if t.target in normed_fix and t.source not in normed_fix:
+                        normed_fix.add(t.source)
+                        grown = True
+            assert a.reachable() == reached
+            assert normed == normed_fix
             extn = [frozenset(e for e in ext if e.target in normed) for ext in scanned]
             for s in range(a.n_states):
                 assert exit_transitions(a, d, s) == scanned[s]

@@ -1,6 +1,7 @@
-"""Per-state reads go through ``Automaton._adjacency()``, which groups the
-transitions once: outside ``semantics.py`` no module of the package reads an
-automaton's ``transitions`` except for its length."""
+"""Per-state reads go through ``Automaton._rows``, which groups the
+transitions once, and an automaton's caches live in ``semantics.py`` alone:
+outside it no module of the package reads an automaton's ``transitions``
+except for its length, or reads or writes an instance ``__dict__``."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpar"
+OUTSIDE_SEMANTICS = sorted(set(PACKAGE.rglob("*.py")) - {PACKAGE / "semantics.py"})
 
 
 def transition_reads(source: str) -> list[int]:
@@ -46,12 +48,42 @@ def test_reads_are_found(source, lines):
     assert transition_reads(source) == lines
 
 
-def test_only_semantics_groups_the_transitions():
-    modules = sorted(set(PACKAGE.rglob("*.py")) - {PACKAGE / "semantics.py"})
-    assert len(modules) > 1
-    found = [
-        f"{path.relative_to(PACKAGE)}:{line}"
-        for path in modules
-        for line in transition_reads(path.read_text())
+def dict_uses(source: str) -> list[int]:
+    """Lines that read or write an attribute named ``__dict__``, or call
+    ``vars()``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars")
     ]
-    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ('x = a.__dict__.get("_normed")\n', [1]),
+        ('a.__dict__["_normed"] = x\n', [1]),
+        ("d = vars(a)\n", [1]),
+        ("y = a._normed\n", []),
+    ],
+)
+def test_dict_uses_are_found(source, lines):
+    assert dict_uses(source) == lines
+
+
+def uses_outside_semantics(finder) -> list[str]:
+    assert len(OUTSIDE_SEMANTICS) > 1
+    return [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in OUTSIDE_SEMANTICS
+        for line in finder(path.read_text())
+    ]
+
+
+def test_only_semantics_groups_the_transitions():
+    assert uses_outside_semantics(transition_reads) == []
+
+
+def test_only_semantics_touches_an_instance_dict():
+    assert uses_outside_semantics(dict_uses) == []

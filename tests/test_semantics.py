@@ -222,10 +222,11 @@ class TestAdjacencyCache:
         size = len(pickle.dumps(auto))
         results = self._walk(auto)
         assert len(pickle.dumps(auto)) == size
+        fields = {f.name for f in dataclasses.fields(auto)}
+        assert {"_rows", "_normed"} <= set(auto.__dict__) - fields
         for dup in (copy.copy(auto), copy.deepcopy(auto), pickle.loads(pickle.dumps(auto))):
             assert dup == auto
-            assert "_rows" not in dup.__dict__
-            assert "_normed" not in dup.__dict__
+            assert set(dup.__dict__) == fields
             assert self._walk(dup) == results
 
     @pytest.mark.parametrize("walk_first", [False, True])

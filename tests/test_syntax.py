@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import time
 
@@ -13,7 +16,10 @@ from starpar import (
     Automaton,
     CommFn,
     CommFnError,
+    Deadlock,
+    Empty,
     Encap,
+    Expression,
     Par,
     ParseError,
     Seq,
@@ -24,6 +30,7 @@ from starpar import (
     classify_theory,
     dump_comm_fn,
     encode_fa,
+    generate_random_expression,
     load_comm_fn,
     parse_expression,
     render_expression,
@@ -166,6 +173,53 @@ def test_round_trip_on_generated_expressions():
     for seed in range(200):
         e = generate_random_expression(Theory.PA, 5, seed)
         assert parse_expression(render_expression(e)) == e
+
+
+class TestExpressionContract:
+    """Expressions are values: an equal copy compares equal, hashes equal and
+    finds the original's dict entry, and nodes of different kinds over the
+    same children never compare equal."""
+
+    def test_equal_copies_are_interchangeable(self):
+        samples = []
+        for seed in range(500):
+            e = generate_random_expression(Theory.PA if seed % 2 else Theory.BPA, 6, 3100 + seed)
+            samples.append(e)
+            samples.append(Encap(frozenset((Action("a"), Action("c"))), e))
+        entry = {e: i for i, e in enumerate(samples)}
+        for e in samples:
+            for dup in (
+                parse_expression(render_expression(e)),
+                copy.deepcopy(e),
+                pickle.loads(pickle.dumps(e)),
+            ):
+                assert dup == e and e == dup
+                assert hash(dup) == hash(e)
+                assert entry[dup] == entry[e]
+                if isinstance(e, Encap):
+                    assert dup.blocked is not e.blocked
+
+    def test_kinds_over_the_same_children_differ(self):
+        for x, y in ((a, b), (a, a), (DEADLOCK, EMPTY), (Star(a), Par(a, b))):
+            nodes = [Seq(x, y), Alt(x, y), Par(x, y)]
+            for i, m in enumerate(nodes):
+                for j, n in enumerate(nodes):
+                    assert (m == n) == (i == j)
+            assert len(set(nodes)) == 3
+        assert DEADLOCK != EMPTY and Deadlock() == DEADLOCK and Empty() == EMPTY
+        assert len({DEADLOCK, EMPTY}) == 2
+
+    @pytest.mark.parametrize("op", [".", "||", "+"])
+    def test_hash_of_a_450_level_chain(self, op):
+        text = op.join(["a"] * 451)
+        e, dup = parse_expression(text), parse_expression(text)
+        assert e is not dup
+        assert hash(e) == hash(dup)
+
+    def test_slots_hold_the_fields_only(self):
+        assert Expression.__slots__ == ()
+        for cls in (Deadlock, Empty, Act, Seq, Alt, Star, Par, Encap):
+            assert cls.__slots__ == tuple(f.name for f in dataclasses.fields(cls))
 
 
 class TestClassify:
