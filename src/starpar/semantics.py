@@ -15,6 +15,7 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 
 from .syntax import (
     DEADLOCK,
@@ -235,13 +236,20 @@ def _transition_key(t: Transition) -> tuple[int, str, int]:
     return (t.source, t.action.name, t.target)
 
 
+def _is_state_id(value: object) -> bool:
+    # A plain int only: JSON true/false load as bool, a subclass of int, and
+    # an int subclass may print otherwise than json writes it.
+    return type(value) is int
+
+
 @dataclass(frozen=True)
 class Automaton:
     """A finite labelled transition system with a termination predicate.
 
     States are the indices ``0 .. n_states - 1``, each with an optional text
-    label.  Transitions are stored deduplicated and sorted by
-    (source, action name, target).
+    label.  As in the JSON form, an id is a plain ``int`` (not a ``bool``) and
+    a label a ``str`` or ``None``.  Transitions are stored deduplicated and
+    sorted by (source, action name, target).
     """
 
     labels: tuple[str | None, ...]
@@ -250,11 +258,23 @@ class Automaton:
     terminating: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
+        # The types first, so that sorting and range checks compare integers only.
+        labels = tuple(self.labels)
+        if not all(label is None or isinstance(label, str) for label in labels):
+            raise ValueError("each state label must be a string or None")
+        terminating = frozenset(self.terminating)
+        for s in (self.initial, *terminating):
+            if not _is_state_id(s):
+                raise ValueError(f"state id {s!r} is not an integer")
+        transitions = tuple(self.transitions)
+        for t in transitions:  # _is_state_id inlined: a call per id doubles this loop's cost
+            if type(t.source) is not int or type(t.target) is not int:
+                raise ValueError(f"transition {t} needs integer state ids")
+        object.__setattr__(self, "labels", labels)
         # Deduplicated by key tuple: set() would hash every Transition and Action in Python.
-        by_key = {_transition_key(t): t for t in self.transitions}
+        by_key = {_transition_key(t): t for t in transitions}
         object.__setattr__(self, "transitions", tuple(by_key[k] for k in sorted(by_key)))
-        object.__setattr__(self, "terminating", frozenset(self.terminating))
+        object.__setattr__(self, "terminating", terminating)
         n = len(self.labels)
         if n == 0:
             raise ValueError("an automaton needs at least one state")
@@ -387,32 +407,26 @@ def state_expressions(a: Automaton) -> tuple[Expression, ...]:
 # ---------------------------------------------------------------------------
 
 
-def automaton_to_dict(a: Automaton) -> dict:
-    states = []
-    for i in range(a.n_states):
-        entry: dict = {"id": i}
-        if a.labels[i] is not None:
-            entry["label"] = a.labels[i]
-        entry["terminating"] = i in a.terminating
-        states.append(entry)
-    return {
-        "states": states,
-        "initial": a.initial,
-        "transitions": [
-            {"from": t.source, "action": t.action.name, "to": t.target}
-            for t in a.transitions
-        ],
-    }
-
-
 def automaton_to_json(a: Automaton) -> str:
-    """Byte-stable JSON rendering of an automaton."""
-    return json.dumps(automaton_to_dict(a), indent=2) + "\n"
-
-
-def _is_state_id(value: object) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not state ids.
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Byte-stable JSON rendering of an automaton: the text ``json.dumps(...,
+    indent=2)`` writes for it, built directly, since ``indent`` sends ``json``
+    to its pure-Python encoder.  Labels are quoted by ``json``'s C string
+    encoder; action names are identifiers and need no escaping."""
+    term = a.terminating
+    states = ",\n".join([
+        f'    {{\n      "id": {i},\n      "terminating": {"true" if i in term else "false"}\n    }}'
+        if label is None
+        else f'    {{\n      "id": {i},\n      "label": {_quote(label)},\n'
+        f'      "terminating": {"true" if i in term else "false"}\n    }}'
+        for i, label in enumerate(a.labels)
+    ])
+    transitions = ",\n".join([
+        f'    {{\n      "from": {t.source},\n      "action": "{t.action.name}",\n'
+        f'      "to": {t.target}\n    }}'
+        for t in a.transitions
+    ])
+    head = f'{{\n  "states": [\n{states}\n  ],\n  "initial": {a.initial},\n  "transitions": '
+    return f"{head}[\n{transitions}\n  ]\n}}\n" if transitions else f"{head}[]\n}}\n"
 
 
 def automaton_from_dict(obj: object) -> Automaton:

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import json
 import pickle
 import random
+import time
 
 import pytest
 
@@ -352,6 +354,46 @@ class TestAutomatonValue:
         with pytest.raises(ValueError):
             Automaton(labels=(None,), initial=0, transitions=(), terminating=frozenset({9}))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"initial": True, "transitions": (Transition(False, Action("a"), True),), "terminating": {True}},
+            {"initial": True},
+            {"initial": 0.0},
+            {"transitions": (Transition(False, Action("a"), 1),)},
+            {"transitions": (Transition(0, Action("a"), True),)},
+            {"transitions": (Transition(0, Action("a"), 1.0),)},
+            {"terminating": frozenset({True})},
+            {"terminating": frozenset({1.0})},
+            {"initial": type("StateId", (int,), {})(0)},
+            {"labels": (None, 3)},
+            {"labels": (b"x", None)},
+        ],
+        ids=[
+            "all-booleans",
+            "initial-bool",
+            "initial-float",
+            "from-bool",
+            "to-bool",
+            "to-float",
+            "terminating-bool",
+            "terminating-float",
+            "initial-int-subclass",
+            "label-int",
+            "label-bytes",
+        ],
+    )
+    def test_rejects_what_its_json_reader_rejects(self, fields):
+        base = {
+            "labels": (None, "x"),
+            "initial": 0,
+            "transitions": (Transition(0, Action("a"), 1),),
+            "terminating": frozenset({1}),
+        }
+        Automaton(**base)
+        with pytest.raises(ValueError):
+            Automaton(**{**base, **fields})
+
     def test_duplicate_transitions_collapse(self):
         auto = Automaton(
             labels=(None, None),
@@ -419,3 +461,78 @@ class TestSerialisation:
         assert "__initial__ [shape=point" in dot
         assert "doublecircle" in dot  # the terminated state
         assert '[label="a"]' in dot
+
+
+def _reference_json(a):
+    """The writer's specification: the standard library's indent-2 output."""
+    states = []
+    for i, label in enumerate(a.labels):
+        entry = {"id": i}
+        if label is not None:
+            entry["label"] = label
+        entry["terminating"] = i in a.terminating
+        states.append(entry)
+    transitions = [{"from": t.source, "action": t.action.name, "to": t.target} for t in a.transitions]
+    return json.dumps({"states": states, "initial": a.initial, "transitions": transitions}, indent=2) + "\n"
+
+
+_LABEL_CHARS = ["p", "a.b", " ", "\u00e9", "\u65e5", "\U0001f600", '"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028"]
+
+
+def _random_automaton(rng):
+    n = rng.randint(1, 8)
+    labels = tuple(
+        None if rng.random() < 0.3 else "".join(rng.choices(_LABEL_CHARS, k=rng.randint(0, 4)))
+        for _ in range(n)
+    )
+    actions = [Action(name) for name in ("a", "b", "tau", "x_1", "Z9")]
+    transitions = tuple(
+        Transition(rng.randrange(n), rng.choice(actions), rng.randrange(n))
+        for _ in range(rng.randint(0, 3 * n))
+    )
+    terminating = frozenset(i for i in range(n) if rng.random() < 0.4)
+    return Automaton(labels=labels, initial=rng.randrange(n), transitions=transitions, terminating=terminating)
+
+
+def _interleaving(k):
+    return derive_automaton(parse_expression(" || ".join(["(a.b+c)*.d"] * k)))
+
+
+class TestJsonWriter:
+    """``automaton_to_json`` writes exactly what ``json.dumps(..., indent=2)``
+    writes for the automaton's object form, and its reader loads it back."""
+
+    @staticmethod
+    def _check(auto):
+        text = automaton_to_json(auto)
+        assert text == _reference_json(auto)
+        assert automaton_from_json(text) == auto
+
+    def test_random_automata(self):
+        rng = random.Random(2010)
+        for _ in range(2000):
+            self._check(_random_automaton(rng))
+
+    def test_one_state_without_transitions(self):
+        for label in (None, "", '"\\\n\t\x00\u00e9'):
+            self._check(Automaton(labels=(label,), initial=0, transitions=(), terminating=frozenset()))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_interleavings(self, k):
+        self._check(_interleaving(k))
+
+    def test_six_way_interleaving_is_written_fast(self):
+        # A ratio against the reference in the same process, not an absolute
+        # bound, so that the host's speed cancels out.
+        auto = _interleaving(6)
+        assert (auto.n_states, len(auto.transitions)) == (4096, 40231)
+        writer, reference = [], []
+        for _ in range(3):
+            start = time.perf_counter()
+            text = automaton_to_json(auto)
+            writer.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            expected = _reference_json(auto)
+            reference.append(time.perf_counter() - start)
+            assert text == expected
+        assert min(writer) <= min(reference) / 3, (min(writer), min(reference))
