@@ -53,6 +53,13 @@ class SccDecomposition:
 
 
 def scc_decompose(a: Automaton) -> SccDecomposition:
+    """The strongly connected components of ``a``, computed on the first call
+    for an automaton and shared with the two checks; callers must not rely on
+    getting a fresh object."""
+    return a._scc
+
+
+def _tarjan(a: Automaton) -> SccDecomposition:
     """Tarjan's single-pass algorithm, iterative, with deterministic ids."""
     n = a.n_states
     adjacency = a._rows[0]
@@ -239,22 +246,26 @@ class PropertyReport:
 
 def _exit_structure(
     a: Automaton,
-) -> tuple[SccDecomposition, list[list[int]], list[frozenset[tuple[str, int]]]]:
-    """The SCCs, each SCC's alive exit states in increasing order, and each
-    state's normed exit set, from one pass over the successor rows.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[tuple[str, int]], ...]]:
+    """Each SCC's alive exit states in increasing order, and each state's
+    normed exit set, from one pass over the successor rows.  Kept on the
+    automaton as ``a._exits``, so both are tuples.
 
     Equal to ``alive_exit_states`` and ``normed_exit_transitions`` called on
     every component and state, with exits as (action name, target) pairs.
     """
-    d = scc_decompose(a)
-    normed = normed_states(a)
+    d = a._scc
+    normed = a._normed
     component_of = d.component_of
-    extn = [
+    extn = tuple([
         frozenset((x, t) for x, t in row if t in normed and component_of[t] != component_of[s])
         for s, row in enumerate(a._rows[0])
-    ]
-    alive = [[s for s in members if s in a.terminating or extn[s]] for members in d.members]
-    return d, alive, extn
+    ])
+    terminating = a.terminating
+    alive = tuple([
+        tuple([s for s in members if s in terminating or extn[s]]) for members in d.members
+    ])
+    return alive, extn
 
 
 def _state_name(a: Automaton, s: int) -> str:
@@ -270,7 +281,8 @@ def check_bpa_property(a: Automaton) -> PropertyReport:
     """Necessary condition for expressibility without interleaving: within each
     non-trivial SCC, all alive exit states have identical sets of normed exit
     transitions, and agree on the termination flag."""
-    d, alive_of, extn = _exit_structure(a)
+    d = scc_decompose(a)
+    alive_of, extn = a._exits
     witnesses = []
     for cid in d.non_trivial():
         alive = alive_of[cid]
@@ -296,7 +308,8 @@ def check_pa_property(a: Automaton) -> PropertyReport:
     """Necessary condition for expressibility with pure interleaving: every SCC
     with an alive exit state has a maximal one, covering all alive exit states'
     normed exits up to action-plus-target-SCC equivalence."""
-    d, alive_of, extn = _exit_structure(a)
+    d = scc_decompose(a)
+    alive_of, extn = a._exits
     witnesses = []
     for cid, alive in enumerate(alive_of):
         if not alive:

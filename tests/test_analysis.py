@@ -1,3 +1,4 @@
+import pickle
 import random
 import time
 
@@ -10,8 +11,10 @@ from starpar import (
     Par,
     Encap,
     Theory,
+    PropertyReport,
     Transition,
     UnsupportedExpression,
+    Witness,
     act,
     alive_exit_states,
     check_bpa_property,
@@ -414,6 +417,93 @@ class TestPaCheck:
     def test_trivial_scc_with_alive_exit_passes(self):
         report = check_pa_property(derive_automaton(parse_expression("a")))
         assert report.holds
+
+
+def _state_name(a, s):
+    return f"{s} ({a.labels[s]})" if a.labels[s] is not None else str(s)
+
+
+def _reference_bpa(a):
+    """The BPA report rebuilt from the public per-state views."""
+    d = scc_decompose(a)
+    witnesses = []
+    for cid in range(d.count):
+        if d.trivial[cid]:
+            continue
+        alive = sorted(alive_exit_states(a, d, cid))
+        if len(alive) < 2:
+            continue
+        extn = {s: normed_exit_transitions(a, d, s) for s in alive}
+        if len(set(extn.values())) > 1:
+            parts = []
+            for s in alive:
+                exits = ", ".join(f"({e.action.name}, {_state_name(a, e.target)})" for e in sorted(extn[s]))
+                parts.append(f"Extn({_state_name(a, s)}) = {{{exits}}}")
+            witnesses.append(Witness(cid, tuple(alive), "normed exit sets differ: " + "; ".join(parts)))
+        if len({s in a.terminating for s in alive}) > 1:
+            parts = [
+                f"{_state_name(a, s)} " + ("terminates" if s in a.terminating else "does not terminate")
+                for s in alive
+            ]
+            witnesses.append(
+                Witness(cid, tuple(alive), "termination flags differ among alive exit states: " + "; ".join(parts))
+            )
+    return PropertyReport("bpa", "fail" if witnesses else "pass", tuple(witnesses))
+
+
+def _reference_pa(a):
+    """The PA report rebuilt from the public per-state views."""
+    d = scc_decompose(a)
+    witnesses = []
+    for cid in range(d.count):
+        alive = sorted(alive_exit_states(a, d, cid))
+        if not alive:
+            continue
+        classes = {
+            s: {(e.action.name, d.component_of[e.target]) for e in normed_exit_transitions(a, d, s)}
+            for s in alive
+        }
+        required = set().union(*classes.values())
+        if all(not classes[s] >= required for s in alive):
+            covers = "; ".join(f"{_state_name(a, s)} covers {sorted(classes[s])}" for s in alive)
+            details = (
+                "no maximal alive exit state; required exit classes (action, target scc) = "
+                f"{sorted(required)}; {covers}"
+            )
+            witnesses.append(Witness(cid, tuple(alive), details))
+    return PropertyReport("pa", "fail" if witnesses else "pass", tuple(witnesses))
+
+
+class TestCheckReports:
+    """Both checks read one shared exit pass per automaton; their reports,
+    verdicts and witness text included, must be those that the public
+    per-state views give."""
+
+    def test_reports_agree_with_the_per_state_views(self):
+        rng = random.Random(90210)
+        seen = {"exit sets differ": 0, "flags differ": 0, "no maximal state": 0}
+        for _ in range(400):
+            base = random_automaton(rng, max_states=12, alphabet=rng.choice(("ab", "abc")))
+            a = Automaton(
+                labels=tuple(rng.choice((None, f"p{s}", f"q.{s}")) for s in range(base.n_states)),
+                initial=base.initial,
+                transitions=base.transitions,
+                terminating=base.terminating,
+            )
+            # The reference reads a copy, so that it shares no cache with the checks.
+            twin = pickle.loads(pickle.dumps(a))
+            expected = (_reference_bpa(twin), _reference_pa(twin))
+            if rng.random() < 0.5:
+                reports = (check_bpa_property(a), check_pa_property(a))
+            else:
+                reports = tuple(reversed((check_pa_property(a), check_bpa_property(a))))
+            assert reports == expected
+            assert (check_bpa_property(a), check_pa_property(a)) == expected
+            details = [w.details for report in expected for w in report.witnesses]
+            seen["exit sets differ"] += any("normed exit sets differ" in x for x in details)
+            seen["flags differ"] += any("termination flags differ" in x for x in details)
+            seen["no maximal state"] += not expected[1].holds
+        assert min(seen.values()) >= 20, seen
 
 
 class TestGenerator:

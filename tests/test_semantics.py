@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import pickle
 import random
@@ -39,6 +40,7 @@ from starpar import (
     terminates,
 )
 from tests.samples import TWO_EXIT_LOOP_EXPR, INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, communicating_gamma
+from starpar import analysis
 from tests.oracles import interleaving_step, rule_derivable
 
 a, b, c = act("a"), act("b"), act("c")
@@ -245,6 +247,61 @@ class TestAdjacencyCache:
         assert (scc_decompose(auto), minimize(auto)) == expected
 
 
+class TestSharedSccPass:
+    """Tarjan's pass and the exit-structure pass run once per automaton,
+    whichever of ``scc_decompose`` and the two checks comes first, and copies
+    start without them."""
+
+    CALLS = {"scc": scc_decompose, "bpa": check_bpa_property, "pa": check_pa_property}
+    ORDERS = [
+        *itertools.permutations(CALLS, 1),
+        *itertools.permutations(CALLS, 2),
+        *itertools.permutations(CALLS, 3),
+    ]
+
+    @staticmethod
+    def _build():
+        return derive_automaton(parse_expression(COMMUNICATING_LOOP_EXPR), communicating_gamma())
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        counts = {"_tarjan": 0, "_exit_structure": 0}
+        for name in counts:
+            original = getattr(analysis, name)
+
+            def counted(a, original=original, name=name):
+                counts[name] += 1
+                return original(a)
+
+            monkeypatch.setattr(analysis, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("order", ORDERS, ids="-".join)
+    def test_one_pass_in_every_call_order(self, order, runs):
+        expected = {name: call(self._build()) for name, call in self.CALLS.items()}
+        runs.update(dict.fromkeys(runs, 0))
+        auto = self._build()
+        for _ in range(2):
+            for name in order:
+                assert self.CALLS[name](auto) == expected[name]
+        assert runs == {"_tarjan": 1, "_exit_structure": int(order != ("scc",))}
+        assert scc_decompose(auto) is scc_decompose(auto)
+
+    def test_copies_carry_neither_cache(self, runs):
+        auto = self._build()
+        size = len(pickle.dumps(auto))
+        reports = (check_bpa_property(auto), check_pa_property(auto))
+        assert {"_scc", "_exits"} <= set(auto.__dict__)
+        assert len(pickle.dumps(auto)) == size
+        for dup in (copy.copy(auto), copy.deepcopy(auto), pickle.loads(pickle.dumps(auto))):
+            assert dup == auto
+            assert not {"_scc", "_exits"} & set(dup.__dict__)
+            assert (check_bpa_property(dup), check_pa_property(dup)) == reports
+            assert scc_decompose(dup) == scc_decompose(auto)
+            assert scc_decompose(dup) is not scc_decompose(auto)
+        assert runs == {"_tarjan": 4, "_exit_structure": 4}
+
+
 class TestMemoLifetime:
     """Termination, steps and labels are memoised per call, never across calls."""
 
@@ -402,6 +459,78 @@ class TestAutomatonValue:
             terminating=frozenset(),
         )
         assert len(auto.transitions) == 1
+
+
+# The frozen ordered dataclass that Transition was before it became a named
+# tuple, with the same class name, so that its generated repr reads the same.
+_DataclassTransition = dataclasses.make_dataclass(
+    "Transition", [("source", int), ("action", Action), ("target", int)], frozen=True, order=True
+)
+
+
+class TestTransitionContract:
+    """``Transition`` is a named tuple that keeps the repr, hash, ordering and
+    equality between edges of the dataclass it replaced."""
+
+    @staticmethod
+    def _fields(rng, count):
+        return [
+            (rng.randrange(5), Action(rng.choice(("a", "b", "ab", "a_1"))), rng.randrange(5))
+            for _ in range(count)
+        ]
+
+    def test_matches_the_dataclass_it_replaced(self):
+        rng = random.Random(2024)
+        fields = self._fields(rng, 400)
+        new = [Transition(*f) for f in fields]
+        old = [_DataclassTransition(*f) for f in fields]
+        for t, ref in zip(new, old):
+            assert repr(t) == repr(ref)
+            assert hash(t) == hash(ref)
+            assert (t.source, t.action, t.target) == (ref.source, ref.action, ref.target)
+        pairs = [(rng.randrange(len(new)), rng.randrange(len(new))) for _ in range(4000)]
+        pairs += [(i, i) for i in range(len(new))]
+        for i, j in pairs:
+            assert (new[i] < new[j]) == (old[i] < old[j])
+            assert (new[i] <= new[j]) == (old[i] <= old[j])
+            assert (new[i] == new[j]) == (old[i] == old[j])
+            assert (new[i] != new[j]) == (old[i] != old[j])
+        order = sorted(range(len(new)), key=new.__getitem__)
+        assert [old[i] for i in order] == sorted(old)
+
+    def test_is_a_tuple(self):
+        t = Transition(0, Action("a"), 1)
+        assert t == (0, Action("a"), 1)
+        assert tuple(t) == (0, Action("a"), 1)
+        assert not dataclasses.is_dataclass(t)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        for t in (Transition(*f) for f in self._fields(random.Random(protocol), 50)):
+            back = pickle.loads(pickle.dumps(t, protocol))
+            assert back == t and type(back) is Transition
+
+    def test_automaton_deduplicates_and_sorts(self):
+        rng = random.Random(77)
+        duplicated = 0
+        for _ in range(500):
+            n = rng.randint(1, 5)
+            edges = [
+                Transition(rng.randrange(n), Action(rng.choice("abc")), rng.randrange(n))
+                for _ in range(rng.randint(0, 10))
+            ]
+            # Repeats, some of them equal but distinct objects.
+            given = edges + [
+                Transition(t.source, Action(t.action.name), t.target) if rng.random() < 0.5 else t
+                for t in rng.sample(edges, rng.randint(0, len(edges)))
+            ]
+            rng.shuffle(given)
+            duplicated += len(set(given)) < len(given)
+            auto = Automaton((None,) * n, 0, tuple(given), frozenset())
+            expected = sorted(set(given), key=lambda t: (t.source, t.action.name, t.target))
+            assert list(auto.transitions) == expected
+            assert all(type(t) is Transition for t in auto.transitions)
+        assert duplicated >= 300
 
 
 class TestSerialisation:
