@@ -70,30 +70,33 @@ class _Rules:
     table.  Its key is (node type, id of each canonical child); ``Act`` nodes
     are keyed by action name, ``Encap`` nodes by (blocked set, id of the
     body) and ``0``/``1`` by type.  Structurally equal terms are therefore one
-    object, and ``terminates`` and ``step``, the render memo and derive's
-    state index are memoised by ``id()`` without hashing or comparing a tree.
+    object, and ``terminating`` and ``step``, the render memo and derive's
+    state index are keyed by ``id()`` without hashing or comparing a tree.
 
     Invariant: the table holds every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
-    moves are a tuple of (action, canonical target) pairs, no two with the
-    same action name and target.  The step memo only ever sees the one
-    communication function it was built with.  Each rule recurses straight
-    into the same method, one frame per nesting level.
+    termination flag is set in ``terminating`` once, as the node joins the
+    table, from the flags of its children, which joined it before; nothing
+    computes it later.  A node's moves are a tuple of (action, canonical
+    target) pairs, no two with the same action name and target.  The step
+    memo only ever sees the one communication function it was built with.
+    Only ``step`` recurses, one frame per nesting level.
     """
 
-    __slots__ = ("_comm", "_table", "_terminates", "_steps")
+    __slots__ = ("_comm", "_table", "terminating", "_steps")
 
     def __init__(self, comm: CommFn):
         # gamma keyed by action names: a lookup hashes two strings, not two Actions
         self._comm = {(a.name, b.name): c for (a, b), c in comm._table.items()}
         self._table: dict[tuple, Expression] = {(Deadlock,): DEADLOCK, (Empty,): EMPTY}
-        self._terminates: dict[int, bool] = {}
+        self.terminating: dict[int, bool] = {id(DEADLOCK): False, id(EMPTY): True}
         self._steps: dict[int, tuple[tuple[Action, Expression], ...]] = {}
 
     def canonical(self, e: Expression) -> Expression:
         """The table's node structurally equal to ``e``.  An input node whose
         children are already canonical joins the table as it is."""
         table = self._table
+        terminating = self.terminating
         canon: dict[int, Expression] = {}
         stack = [e]
         while stack:
@@ -131,6 +134,12 @@ class _Rules:
                 else:
                     found = kind(*parts)
                 table[key] = found
+                # 0 and 1 are in the table from the start; . || and encap need every part
+                flags = [terminating[id(part)] for part in parts]
+                if kind is Alt:
+                    terminating[id(found)] = any(flags)
+                else:
+                    terminating[id(found)] = kind is Star or (kind is not Act and all(flags))
             canon[id(node)] = found
         return canon[id(e)]
 
@@ -139,25 +148,9 @@ class _Rules:
         node = self._table.get(key)
         if node is None:
             node = self._table[key] = kind(left, right)
+            terminating = self.terminating
+            terminating[id(node)] = terminating[id(left)] and terminating[id(right)]
         return node
-
-    def terminates(self, e: Expression) -> bool:
-        done = self._terminates.get(id(e))
-        if done is not None:
-            return done
-        match e:
-            case Empty() | Star():
-                done = True
-            case Deadlock() | Act():
-                done = False
-            case Alt(left, right):
-                done = self.terminates(left) or self.terminates(right)
-            case Seq(left, right) | Par(left, right):
-                done = self.terminates(left) and self.terminates(right)
-            case Encap(_, body):
-                done = self.terminates(body)
-        self._terminates[id(e)] = done
-        return done
 
     def step(self, e: Expression) -> tuple[tuple[Action, Expression], ...]:
         moves = self._steps.get(id(e))
@@ -173,7 +166,7 @@ class _Rules:
                 moves = _distinct(self.step(left) + self.step(right))
             case Seq(left, right):
                 moves = tuple((a, pair(Seq, left2, right)) for a, left2 in self.step(left))
-                if self.terminates(left):
+                if self.terminating[id(left)]:
                     moves = _distinct(moves + self.step(right))
             case Star(body):
                 moves = tuple((a, pair(Seq, body2, e)) for a, body2 in self.step(body))
@@ -199,6 +192,7 @@ class _Rules:
                         node = table.get(key)
                         if node is None:
                             node = table[key] = Encap(blocked, body2)
+                            self.terminating[id(node)] = self.terminating[id(body2)]
                         found.append((a, node))
                 moves = tuple(found)
         self._steps[id(e)] = moves
@@ -211,9 +205,11 @@ def _distinct(moves) -> tuple[tuple[Action, Expression], ...]:
 
 
 def terminates(e: Expression) -> bool:
-    """Decide the termination predicate on expressions."""
+    """Decide the termination predicate on expressions.  The flag is set as
+    each node joins the node table, so ``e`` is walked only by the iterative
+    ``canonical`` and any depth is answered."""
     rules = _Rules(EMPTY_COMM)
-    return rules.terminates(rules.canonical(e))
+    return rules.terminating[id(rules.canonical(e))]
 
 
 def step(e: Expression, comm: CommFn = EMPTY_COMM) -> frozenset[tuple[Action, Expression]]:
@@ -386,8 +382,8 @@ def derive_automaton(
     explored sorted by (action name, rendered successor); labels carry the
     rendered expressions.  Raises StateLimitExceeded once more than
     ``max_states`` distinct expressions have been reached.  The canonical
-    node table, and the termination, step and label memos keyed by node id,
-    live for this call only and are dropped when it returns.
+    node table with its termination flags, and the step and label memos
+    keyed by node id, live for this call only and are dropped when it returns.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
@@ -402,7 +398,7 @@ def derive_automaton(
     while queue:
         current = queue.popleft()
         source = index[id(current)]
-        if rules.terminates(current):
+        if rules.terminating[id(current)]:
             terminating.add(source)
         successors = [
             (action.name, render_memoised(target, rendered), action, target)

@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms: the
 bisimilarity oracle deletes violating pairs from the full relation, the step
-oracle checks a single derivation rule at a time, the communication-function
-oracle evaluates every triple of the table closure, the isomorphism oracle
-tries every permutation, and the automaton builders assemble states and
-transitions directly.
+oracles check a single derivation rule at a time and read termination off the
+tree with their own predicate, the communication-function oracle evaluates
+every triple of the table closure, the isomorphism oracle tries every
+permutation, and the automaton builders assemble states and transitions
+directly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from starpar import (
     Seq,
     Star,
     Transition,
-    terminates,
 )
 
 
@@ -86,6 +86,23 @@ def naive_validate_comm_fn(g: CommFn) -> CommValidation:
     )
 
 
+def _terminates(e: Expression) -> bool:
+    """The termination predicate read off the tree: ``1`` and every star
+    terminate, ``+`` needs either side, ``.`` and ``||`` both, ``encap`` its
+    body."""
+    if isinstance(e, (Empty, Star)):
+        return True
+    if isinstance(e, Alt):
+        return _terminates(e.left) or _terminates(e.right)
+    if isinstance(e, (Seq, Par)):
+        return _terminates(e.left) and _terminates(e.right)
+    if isinstance(e, Encap):
+        return _terminates(e.body)
+    if isinstance(e, (Deadlock, Act)):
+        return False
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def rule_derivable(e: Expression, action: Action, target: Expression, comm: CommFn) -> bool:
     """Check one claimed transition by matching the applicable rules, one at a
     time, against the shapes of the source and target expressions."""
@@ -103,7 +120,7 @@ def rule_derivable(e: Expression, action: Action, target: Expression, comm: Comm
             and target.right == e.right
             and rule_derivable(e.left, action, target.left, comm)
         )
-        via_right = terminates(e.left) and rule_derivable(e.right, action, target, comm)
+        via_right = _terminates(e.left) and rule_derivable(e.right, action, target, comm)
         return via_left or via_right
     if isinstance(e, Star):
         return (
@@ -144,7 +161,7 @@ def _enabled_actions(e: Expression, comm: CommFn) -> set[Action]:
         return _enabled_actions(e.left, comm) | _enabled_actions(e.right, comm)
     if isinstance(e, Seq):
         enabled = _enabled_actions(e.left, comm)
-        if terminates(e.left):
+        if _terminates(e.left):
             enabled |= _enabled_actions(e.right, comm)
         return enabled
     if isinstance(e, Star):
@@ -173,7 +190,7 @@ def interleaving_step(e: Expression) -> frozenset[tuple[Action, Expression]]:
         return interleaving_step(e.left) | interleaving_step(e.right)
     if isinstance(e, Seq):
         moves = {(a, Seq(l2, e.right)) for a, l2 in interleaving_step(e.left)}
-        if terminates(e.left):
+        if _terminates(e.left):
             moves |= interleaving_step(e.right)
         return frozenset(moves)
     if isinstance(e, Star):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import pickle
@@ -15,6 +16,7 @@ from starpar import (
     Action,
     Alt,
     Automaton,
+    CommFn,
     Encap,
     Par,
     Seq,
@@ -46,6 +48,17 @@ from tests.oracles import interleaving_step, rule_derivable
 a, b, c = act("a"), act("b"), act("c")
 
 
+def terminates_by_rule(e):
+    """The termination predicate read off the tree, independently of the library."""
+    if isinstance(e, (Seq, Par)):
+        return terminates_by_rule(e.left) and terminates_by_rule(e.right)
+    if isinstance(e, Alt):
+        return terminates_by_rule(e.left) or terminates_by_rule(e.right)
+    if isinstance(e, Encap):
+        return terminates_by_rule(e.body)
+    return e == EMPTY or isinstance(e, Star)
+
+
 class TestTerminates:
     def test_constants(self):
         assert terminates(EMPTY)
@@ -65,6 +78,54 @@ class TestTerminates:
         assert not terminates(Par(EMPTY, a))
         assert terminates(Encap(frozenset({Action("a")}), EMPTY))
         assert not terminates(Encap(frozenset(), a))
+
+    @pytest.mark.parametrize("kind", [Seq, Par, Alt])
+    def test_deep_chain(self, kind):
+        """The flags are set as the iterative ``canonical`` builds the node
+        table, so the depth of the input does not matter."""
+        chain = functools.reduce(kind, (act(f"a{i}") for i in range(5_000)))
+        assert not terminates(chain)
+
+    def test_deep_chain_under_star_or_after_one(self):
+        chain = functools.reduce(Seq, (act(f"a{i}") for i in range(1_500)))
+        assert terminates(Star(chain))
+        assert terminates(Alt(EMPTY, chain))
+
+
+class TestTerminatingFlags:
+    """Every derived state's flag agrees with the predicate read off its
+    expression, over states the rules built as well as the input."""
+
+    @staticmethod
+    def _check(e, comm=EMPTY_COMM):
+        auto = derive_automaton(e, comm)
+        flags = [s in auto.terminating for s in range(auto.n_states)]
+        assert flags == [terminates_by_rule(x) for x in state_expressions(auto)]
+        return flags
+
+    def test_random_pa_terms(self):
+        flags = []
+        for seed in range(120):
+            flags += self._check(generate_random_expression(Theory.PA, 5, seed))
+        assert 100 < flags.count(True) and 100 < flags.count(False)
+
+    def test_encapsulated_pa_terms_with_one_rule(self):
+        gamma = CommFn([(Action("a"), Action("b"), Action("c"))])
+        blocked = frozenset({Action("a"), Action("b")})
+        flags = []
+        for seed in range(60):
+            p = generate_random_expression(Theory.PA, 4, 300 + seed)
+            q = generate_random_expression(Theory.PA, 4, 600 + seed)
+            flags += self._check(Encap(blocked, Par(p, q)), gamma)
+            flags += self._check(Seq(Encap(blocked, p), q), gamma)
+        assert 20 < flags.count(True) and 20 < flags.count(False)
+
+    def test_communicating_loop_samples(self):
+        e = parse_expression(COMMUNICATING_LOOP_EXPR)
+        gamma = communicating_gamma()
+        flags = self._check(e) + self._check(e, gamma)
+        flags += self._check(parse_expression(f"encap{{b,c}}({COMMUNICATING_LOOP_EXPR})"), gamma)
+        assert True in flags and False in flags
 
 
 class TestStep:
@@ -366,13 +427,6 @@ class TestCanonicalNodes:
                 assert rule_derivable(states[t.source], t.action, states[t.target], gamma)
 
     def test_public_step_and_terminates_on_copied_subterms(self):
-        def terminates_by_rule(e):
-            if isinstance(e, (Seq, Par)):
-                return terminates_by_rule(e.left) and terminates_by_rule(e.right)
-            if isinstance(e, Alt):
-                return terminates_by_rule(e.left) or terminates_by_rule(e.right)
-            return e == EMPTY or isinstance(e, Star)
-
         for seed in range(150):
             p = generate_random_expression(Theory.PA, 5, seed)
             for e in (p, Par(p, copy.deepcopy(p)), Seq(copy.deepcopy(p), Alt(p, copy.deepcopy(p)))):
