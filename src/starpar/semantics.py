@@ -73,12 +73,24 @@ class _Rules:
     object, and ``terminating`` and ``step``, the render memo and derive's
     state index are keyed by ``id()`` without hashing or comparing a tree.
 
+    ``canonical`` and ``step`` dispatch on ``type(node)``, most frequent kind
+    first, and the lifting loops of ``.``, ``*``, ``||`` and ``encap`` look
+    the table up inline, one dict lookup per move and no call.  ``||`` reads
+    a child's memo entry before it recurses into the child.
+
     Invariant: the table holds every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
     termination flag is set in ``terminating`` once, as the node joins the
     table, from the flags of its children, which joined it before; nothing
     computes it later.  A node's moves are a tuple of (action, canonical
-    target) pairs, no two with the same action name and target.  The step
+    target) pairs, no two with the same action name and target.  Each
+    child's moves already are, so only moves from different sources can
+    collide, and only three rules deduplicate: ``+`` and ``.`` when its left
+    side terminates, whose two sides may offer the same move, and ``||``,
+    but only when a communication fired or each side has a move back to
+    itself.  Without communication a left lift ``(a, l' || R)`` equals a
+    right lift ``(a, L || r')`` only when ``l'`` is ``L`` and ``r'`` is
+    ``R``, and the lifts of one side differ in their targets.  The step
     memo only ever sees the one communication function it was built with.
     Only ``step`` recurses, one frame per nesting level.
     """
@@ -101,101 +113,168 @@ class _Rules:
         stack = [e]
         while stack:
             node = stack[-1]
-            match node:
-                case Seq(left, right) | Alt(left, right) | Par(left, right):
-                    children = (left, right)
-                case Star(body) | Encap(_, body):
-                    children = (body,)
-                case Act() | Empty() | Deadlock():
-                    children = ()
-                case _:
-                    raise TypeError(f"not an expression: {node!r}")
-            pending = [child for child in children if id(child) not in canon]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
             if id(node) in canon:
+                stack.pop()
                 continue
-            parts = [canon[id(child)] for child in children]
             kind = type(node)
-            if kind is Act:
+            if kind is Par or kind is Seq or kind is Alt:
+                left = canon.get(id(node.left))
+                right = canon.get(id(node.right))
+                if left is None or right is None:
+                    if left is None:
+                        stack.append(node.left)
+                    if right is None:
+                        stack.append(node.right)
+                    continue
+                key = (kind, id(left), id(right))
+                found = table.get(key)
+                if found is None:
+                    if left is node.left and right is node.right:
+                        found = table[key] = node
+                    else:
+                        found = table[key] = kind(left, right)
+                    if kind is Alt:
+                        terminating[id(found)] = terminating[id(left)] or terminating[id(right)]
+                    else:
+                        terminating[id(found)] = terminating[id(left)] and terminating[id(right)]
+            elif kind is Star or kind is Encap:
+                body = canon.get(id(node.body))
+                if body is None:
+                    stack.append(node.body)
+                    continue
+                key = (Star, id(body)) if kind is Star else (Encap, node.blocked, id(body))
+                found = table.get(key)
+                if found is None:
+                    if body is node.body:
+                        found = table[key] = node
+                    elif kind is Star:
+                        found = table[key] = Star(body)
+                    else:
+                        found = table[key] = Encap(node.blocked, body)
+                    terminating[id(found)] = kind is Star or terminating[id(body)]
+            elif kind is Act:
                 key = (Act, node.action.name)
-            elif kind is Encap:
-                key = (Encap, node.blocked, id(parts[0]))
+                found = table.get(key)
+                if found is None:
+                    found = table[key] = node
+                    terminating[id(found)] = False
+            elif kind is Empty or kind is Deadlock:
+                found = table[(kind,)]
             else:
-                key = (kind, *map(id, parts))
-            found = table.get(key)
-            if found is None:
-                if all(map(operator.is_, parts, children)):
-                    found = node
-                elif kind is Encap:
-                    found = Encap(node.blocked, parts[0])
-                else:
-                    found = kind(*parts)
-                table[key] = found
-                # 0 and 1 are in the table from the start; . || and encap need every part
-                flags = [terminating[id(part)] for part in parts]
-                if kind is Alt:
-                    terminating[id(found)] = any(flags)
-                else:
-                    terminating[id(found)] = kind is Star or (kind is not Act and all(flags))
+                raise TypeError(f"not an expression: {node!r}")
+            stack.pop()
             canon[id(node)] = found
         return canon[id(e)]
 
-    def _pair(self, kind: type, left: Expression, right: Expression) -> Expression:
-        key = (kind, id(left), id(right))
-        node = self._table.get(key)
-        if node is None:
-            node = self._table[key] = kind(left, right)
-            terminating = self.terminating
-            terminating[id(node)] = terminating[id(left)] and terminating[id(right)]
-        return node
-
     def step(self, e: Expression) -> tuple[tuple[Action, Expression], ...]:
-        moves = self._steps.get(id(e))
+        steps = self._steps
+        moves = steps.get(id(e))
         if moves is not None:
             return moves
-        pair = self._pair
-        match e:
-            case Deadlock() | Empty():
-                moves = ()
-            case Act(action):
-                moves = ((action, EMPTY),)
-            case Alt(left, right):
-                moves = _distinct(self.step(left) + self.step(right))
-            case Seq(left, right):
-                moves = tuple((a, pair(Seq, left2, right)) for a, left2 in self.step(left))
-                if self.terminating[id(left)]:
-                    moves = _distinct(moves + self.step(right))
-            case Star(body):
-                moves = tuple((a, pair(Seq, body2, e)) for a, body2 in self.step(body))
-            case Par(left, right):
+        kind = type(e)
+        table = self._table
+        terminating = self.terminating
+        if kind is Par:
+            left = e.left
+            right = e.right
+            lsteps = steps.get(id(left))
+            if lsteps is None:
                 lsteps = self.step(left)
+            rsteps = steps.get(id(right))
+            if rsteps is None:
                 rsteps = self.step(right)
-                found = [(a, pair(Par, left2, right)) for a, left2 in lsteps]
-                found += [(a, pair(Par, left, right2)) for a, right2 in rsteps]
-                comm = self._comm
-                if comm:
-                    for a, left2 in lsteps:
-                        for b, right2 in rsteps:
-                            c = comm.get((a.name, b.name))
-                            if c is not None:
-                                found.append((c, pair(Par, left2, right2)))
-                moves = _distinct(found)
-            case Encap(blocked, body):
-                table = self._table
-                found = []
-                for a, body2 in self.step(body):
-                    if a not in blocked:
-                        key = (Encap, blocked, id(body2))
+            found = []
+            right_id = id(right)
+            right_ends = terminating[right_id]
+            left_loops = right_loops = False
+            for a, left2 in lsteps:
+                if left2 is left:
+                    left_loops = True
+                key = (Par, id(left2), right_id)
+                node = table.get(key)
+                if node is None:
+                    node = table[key] = Par(left2, right)
+                    terminating[id(node)] = terminating[id(left2)] and right_ends
+                found.append((a, node))
+            left_id = id(left)
+            left_ends = terminating[left_id]
+            for b, right2 in rsteps:
+                if right2 is right:
+                    right_loops = True
+                key = (Par, left_id, id(right2))
+                node = table.get(key)
+                if node is None:
+                    node = table[key] = Par(left, right2)
+                    terminating[id(node)] = left_ends and terminating[id(right2)]
+                found.append((b, node))
+            lifts = len(found)
+            comm = self._comm
+            if comm:
+                for a, left2 in lsteps:
+                    for b, right2 in rsteps:
+                        c = comm.get((a.name, b.name))
+                        if c is None:
+                            continue
+                        key = (Par, id(left2), id(right2))
                         node = table.get(key)
                         if node is None:
-                            node = table[key] = Encap(blocked, body2)
-                            self.terminating[id(node)] = self.terminating[id(body2)]
-                        found.append((a, node))
+                            node = table[key] = Par(left2, right2)
+                            terminating[id(node)] = (
+                                terminating[id(left2)] and terminating[id(right2)]
+                            )
+                        found.append((c, node))
+            if len(found) > lifts or (left_loops and right_loops):
+                moves = _distinct(found)
+            else:
                 moves = tuple(found)
-        self._steps[id(e)] = moves
+        elif kind is Seq:
+            left = e.left
+            right = e.right
+            found = []
+            right_id = id(right)
+            right_ends = terminating[right_id]
+            for a, left2 in self.step(left):
+                key = (Seq, id(left2), right_id)
+                node = table.get(key)
+                if node is None:
+                    node = table[key] = Seq(left2, right)
+                    terminating[id(node)] = terminating[id(left2)] and right_ends
+                found.append((a, node))
+            if terminating[id(left)]:
+                found += self.step(right)
+                moves = _distinct(found)
+            else:
+                moves = tuple(found)
+        elif kind is Alt:
+            moves = _distinct(self.step(e.left) + self.step(e.right))
+        elif kind is Star:
+            found = []
+            e_id = id(e)
+            for a, body2 in self.step(e.body):
+                key = (Seq, id(body2), e_id)
+                node = table.get(key)
+                if node is None:
+                    node = table[key] = Seq(body2, e)
+                    terminating[id(node)] = terminating[id(body2)]
+                found.append((a, node))
+            moves = tuple(found)
+        elif kind is Act:
+            moves = ((e.action, EMPTY),)
+        elif kind is Encap:
+            blocked = e.blocked
+            found = []
+            for a, body2 in self.step(e.body):
+                if a not in blocked:
+                    key = (Encap, blocked, id(body2))
+                    node = table.get(key)
+                    if node is None:
+                        node = table[key] = Encap(blocked, body2)
+                        terminating[id(node)] = terminating[id(body2)]
+                    found.append((a, node))
+            moves = tuple(found)
+        else:  # 0 and 1
+            moves = ()
+        steps[id(e)] = moves
         return moves
 
 
@@ -395,16 +474,19 @@ def derive_automaton(
     queue: deque[Expression] = deque([e])
     transitions: list[Transition] = []
     terminating: set[int] = set()
+    by_name_and_label = operator.itemgetter(0, 1)
     while queue:
         current = queue.popleft()
         source = index[id(current)]
         if rules.terminating[id(current)]:
             terminating.add(source)
-        successors = [
-            (action.name, render_memoised(target, rendered), action, target)
-            for action, target in rules.step(current)
-        ]
-        successors.sort(key=lambda item: (item[0], item[1]))
+        successors = []
+        for action, target in rules.step(current):
+            label = rendered.get(id(target))
+            if label is None:
+                label = render_memoised(target, rendered)
+            successors.append((action.name, label, action, target))
+        successors.sort(key=by_name_and_label)
         for _, label, action, target in successors:
             target_index = index.get(id(target))
             if target_index is None:

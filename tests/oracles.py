@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the library's own algorithms: the
 bisimilarity oracle deletes violating pairs from the full relation, the step
-oracles check a single derivation rule at a time and read termination off the
-tree with their own predicate, the communication-function oracle evaluates
-every triple of the table closure, the isomorphism oracle tries every
-permutation, and the automaton builders assemble states and transitions
-directly.
+oracles check a single derivation rule at a time or apply every rule to the
+tree as sets, and read termination off the tree with their own predicate,
+the communication-function oracle evaluates every triple of the table
+closure, the isomorphism oracle tries every permutation, and the automaton
+builders assemble states and transitions directly.
 """
 
 from __future__ import annotations
@@ -200,6 +200,45 @@ def interleaving_step(e: Expression) -> frozenset[tuple[Action, Expression]]:
         moves |= {(a, Par(e.left, r2)) for a, r2 in interleaving_step(e.right)}
         return frozenset(moves)
     raise TypeError(f"interleaving oracle does not cover {e!r}")
+
+
+def acp_step(e: Expression, comm: CommFn) -> frozenset[tuple[Action, Expression]]:
+    """Step relation of the full rule set, read off the tree as sets: an
+    action steps to ``1``; ``+`` takes either side's steps; ``p.q`` lifts
+    ``p``'s steps and, when ``p`` terminates, takes ``q``'s; ``p*`` steps to
+    ``p'.p*``; ``p || q`` lifts either side's steps and, for every pair with
+    ``comm(a, b) = c``, steps by ``c`` to ``p' || q'``; ``encap_H(p)``
+    keeps ``p``'s steps whose action is not in ``H``, under ``encap_H``.
+    Moves that two rules derive alike are one element of the set."""
+    if isinstance(e, (Deadlock, Empty)):
+        return frozenset()
+    if isinstance(e, Act):
+        return frozenset({(e.action, EMPTY)})
+    if isinstance(e, Alt):
+        return acp_step(e.left, comm) | acp_step(e.right, comm)
+    if isinstance(e, Seq):
+        moves = {(a, Seq(l2, e.right)) for a, l2 in acp_step(e.left, comm)}
+        if _terminates(e.left):
+            moves |= acp_step(e.right, comm)
+        return frozenset(moves)
+    if isinstance(e, Star):
+        return frozenset({(a, Seq(b2, e)) for a, b2 in acp_step(e.body, comm)})
+    if isinstance(e, Par):
+        left = acp_step(e.left, comm)
+        right = acp_step(e.right, comm)
+        moves = {(a, Par(l2, e.right)) for a, l2 in left}
+        moves |= {(b, Par(e.left, r2)) for b, r2 in right}
+        for a, l2 in left:
+            for b, r2 in right:
+                c = comm.lookup(a, b)
+                if c is not None:
+                    moves.add((c, Par(l2, r2)))
+        return frozenset(moves)
+    if isinstance(e, Encap):
+        return frozenset(
+            (a, Encap(e.blocked, b2)) for a, b2 in acp_step(e.body, comm) if a not in e.blocked
+        )
+    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ from starpar import (
 )
 from tests.samples import TWO_EXIT_LOOP_EXPR, INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, communicating_gamma
 from starpar import analysis
-from tests.oracles import interleaving_step, rule_derivable
+from starpar.semantics import _Rules
+from tests.oracles import acp_step, interleaving_step, rule_derivable
 
 a, b, c = act("a"), act("b"), act("c")
 
@@ -175,6 +176,132 @@ class TestStep:
                 target = rng.choice(sorted(candidates, key=str))
                 if (action, target) not in moves:
                     assert not rule_derivable(e, action, target, gamma)
+
+
+ONE_RULE_GAMMA = CommFn([(Action("a"), Action("b"), Action("a"))])
+GAMMAS = [ONE_RULE_GAMMA, communicating_gamma()]
+GAMMA_IDS = ["a_b_a", "b_c_e"]
+BLOCKED_SETS = [
+    frozenset(Action(n) for n in names) for names in ("", "a", "b", "ab", "bc", "ce", "abcd")
+]
+
+
+def with_random_encaps(e, rng):
+    """``e`` with ``encap`` wrapped around about a quarter of its subterms."""
+    if isinstance(e, (Seq, Alt, Par)):
+        e = type(e)(with_random_encaps(e.left, rng), with_random_encaps(e.right, rng))
+    elif isinstance(e, Star):
+        e = Star(with_random_encaps(e.body, rng))
+    if rng.random() < 0.25:
+        e = Encap(rng.choice(BLOCKED_SETS), e)
+    return e
+
+
+def random_acp_terms(count, depth, seed):
+    """``count`` parallel pairs of random PA terms, ``encap`` wrapped at
+    random positions, the pair itself included."""
+    rng = random.Random(seed)
+    return [
+        with_random_encaps(
+            Par(
+                generate_random_expression(Theory.PA, depth, seed + 2 * i),
+                generate_random_expression(Theory.PA, depth, seed + 2 * i + 1),
+            ),
+            rng,
+        )
+        for i in range(count)
+    ]
+
+
+# Two sides that give the same move, and, under a b -> a, a communication
+# that equals a left lift, with and without a move of the left side back to
+# itself.
+LOOP_PAIR = parse_expression("1.a* || 1.a*")
+COMMUNICATING_LOOP_PAIR = parse_expression("1.a* || 1.b*")
+COMMUNICATING_PAIR = parse_expression("a || 1.b*")
+
+
+class TestAcpStep:
+    """The public ``step`` against ``oracles.acp_step``, which applies every
+    rule, communication and encapsulation included, to the tree as sets."""
+
+    @pytest.mark.parametrize("gamma", GAMMAS, ids=GAMMA_IDS)
+    def test_random_acp_terms(self, gamma):
+        terms = random_acp_terms(300, 4, 900)
+        assert sum(isinstance(e, Encap) for e in terms) > 30
+        communicated = 0
+        for e in terms:
+            expected = acp_step(e, gamma)
+            assert step(e, gamma) == expected
+            communicated += expected != acp_step(e, EMPTY_COMM)
+        assert communicated > 10
+
+    @pytest.mark.parametrize("gamma", GAMMAS, ids=GAMMA_IDS)
+    def test_every_derived_state(self, gamma):
+        for e in random_acp_terms(40, 3, 1_700):
+            for state in state_expressions(derive_automaton(e, gamma)):
+                assert step(state, gamma) == acp_step(state, gamma)
+
+    def test_both_sides_give_the_same_move(self):
+        (move,) = step(LOOP_PAIR)
+        assert move == (Action("a"), LOOP_PAIR)
+        assert step(LOOP_PAIR) == acp_step(LOOP_PAIR, EMPTY_COMM)
+
+    def test_communication_equals_a_left_lift(self):
+        moves = step(COMMUNICATING_LOOP_PAIR, ONE_RULE_GAMMA)
+        assert moves == {(Action(n), COMMUNICATING_LOOP_PAIR) for n in "ab"}
+        assert moves == acp_step(COMMUNICATING_LOOP_PAIR, ONE_RULE_GAMMA)
+        moves = step(COMMUNICATING_PAIR, ONE_RULE_GAMMA)
+        assert moves == {
+            (Action("a"), parse_expression("1 || 1.b*")),
+            (Action("b"), COMMUNICATING_PAIR),
+        }
+        assert moves == acp_step(COMMUNICATING_PAIR, ONE_RULE_GAMMA)
+
+
+class TestMoveInvariant:
+    """No node's moves in ``_Rules`` repeat an (action name, target) pair.
+    The public ``step`` returns a set and ``Automaton`` deduplicates its
+    transitions, so either would hide a repeat; these tests read the rules'
+    own move tuples."""
+
+    @staticmethod
+    def _stepped(e, comm):
+        """The move tuples of every node stepped while deriving ``e``."""
+        rules = _Rules(comm)
+        start = rules.canonical(e)
+        seen = {id(start)}
+        queue = [start]
+        while queue:
+            for _, target in rules.step(queue.pop()):
+                if id(target) not in seen:
+                    seen.add(id(target))
+                    queue.append(target)
+        return list(rules._steps.values())
+
+    @staticmethod
+    def _repeats(all_moves):
+        return [
+            moves for moves in all_moves if len({(a.name, id(t)) for a, t in moves}) != len(moves)
+        ]
+
+    def test_hand_cases(self):
+        for e, comm in (
+            (LOOP_PAIR, EMPTY_COMM),
+            (LOOP_PAIR, ONE_RULE_GAMMA),
+            (COMMUNICATING_LOOP_PAIR, ONE_RULE_GAMMA),
+            (COMMUNICATING_PAIR, ONE_RULE_GAMMA),
+        ):
+            assert self._repeats(self._stepped(e, comm)) == []
+
+    @pytest.mark.parametrize("gamma", [EMPTY_COMM, *GAMMAS], ids=["none", *GAMMA_IDS])
+    def test_random_acp_terms(self, gamma):
+        stepped = 0
+        for e in random_acp_terms(200, 4, 2_500):
+            all_moves = self._stepped(e, gamma)
+            assert self._repeats(all_moves) == []
+            stepped += len(all_moves)
+        assert stepped > 2_000
 
 
 class TestDerive:
