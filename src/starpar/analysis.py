@@ -191,22 +191,41 @@ def oc_measure(e: Expression) -> int:
         if isinstance(node, Encap):
             raise UnsupportedExpression("measure is undefined on encapsulation")
 
-    def oc(node: Expression) -> int:
-        if isinstance(node, (Deadlock, Empty)):
-            return 0
-        if isinstance(node, Act):
-            return 1
-        if isinstance(node, Seq):
-            return 0 if isinstance(node.right, Star) else oc(node.right) + 1
-        if isinstance(node, Alt):
-            return max(oc(node.left), oc(node.right)) + 1
-        if isinstance(node, Star):
-            return 1
-        if isinstance(node, Par):
-            return 0
-        raise TypeError(f"not an expression: {node!r}")
-
-    return oc(e)
+    # Post-order over the nodes the measure reads: the right side of a
+    # ``.`` whose right side is not a star, and both sides of a ``+``.  ``e``
+    # keeps every node alive, so ids are not reused while this runs.
+    measure: dict[int, int] = {}
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, (Deadlock, Empty, Par)):
+            value = 0
+        elif isinstance(node, (Act, Star)):
+            value = 1
+        elif isinstance(node, Seq):
+            if isinstance(node.right, Star):
+                value = 0
+            else:
+                right = measure.get(id(node.right))
+                if right is None:
+                    stack.append(node.right)
+                    continue
+                value = right + 1
+        elif isinstance(node, Alt):
+            left = measure.get(id(node.left))
+            right = measure.get(id(node.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(node.right)
+                if left is None:
+                    stack.append(node.left)
+                continue
+            value = max(left, right) + 1
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+        stack.pop()
+        measure[id(node)] = value
+    return measure[id(e)]
 
 
 # ---------------------------------------------------------------------------

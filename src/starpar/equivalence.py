@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable
 
-from .semantics import Automaton, Transition
+from .semantics import Automaton, Transition, _canonical_automaton, _transition
 
 
 def _coarsest_partition(
@@ -137,18 +137,24 @@ def minimize(a: Automaton) -> Automaton:
     # it the breadth-first queue; its i-th entry is the state read for new id i.
     order = {block[a.initial]: 0}
     members = [first[block[a.initial]]]
-    transitions = []
+    # New ids are given in (name, block) order; each row is then sorted by
+    # (name, new id), so the transitions are built deduplicated and sorted.
+    transitions: list[Transition] = []
     for source, member in enumerate(members):
-        for name, target in sorted({(name, block[t]) for name, t in out[member]}):
+        moves = sorted({(name, block[t]) for name, t in out[member]})
+        for _, target in moves:
             if target not in order:
                 order[target] = len(order)
                 members.append(first[target])
-            transitions.append(Transition(source, action_of[name], order[target]))
-    return Automaton(
-        labels=tuple(a.labels[s] for s in members),
-        initial=0,
-        transitions=tuple(transitions),
-        terminating=frozenset(i for i, s in enumerate(members) if s in a.terminating),
+        transitions += [
+            _transition((source, action_of[name], t))
+            for name, t in sorted([(name, order[target]) for name, target in moves])
+        ]
+    return _canonical_automaton(
+        tuple([a.labels[s] for s in members]),
+        0,
+        tuple(transitions),
+        frozenset([i for i, s in enumerate(members) if s in a.terminating]),
     )
 
 

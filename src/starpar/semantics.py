@@ -333,7 +333,11 @@ class Automaton:
     States are the indices ``0 .. n_states - 1``, each with an optional text
     label.  As in the JSON form, an id is a plain ``int`` (not a ``bool``) and
     a label a ``str`` or ``None``.  Transitions are stored deduplicated and
-    sorted by (source, action name, target).
+    sorted by (source, action name, target).  The public constructor checks
+    every field, and deduplicates and sorts the transitions.
+    ``derive_automaton``, ``equivalence.minimize`` and, for input in the
+    writer's own order, the JSON reader build their fields in that form and
+    hand them over through ``_canonical_automaton``, which checks nothing.
 
     What the analyses read is computed once per automaton, on first use, and
     kept outside the fields: the successor and predecessor rows, the normed
@@ -438,6 +442,26 @@ class Automaton:
         return _closure(self._rows[0], (self.initial,))
 
 
+def _canonical_automaton(
+    labels: tuple[str | None, ...],
+    initial: int,
+    transitions: tuple[Transition, ...],
+    terminating: frozenset[int],
+) -> Automaton:
+    """An ``Automaton`` from fields already in the form ``__post_init__``
+    leaves them: at least one label, each ``str`` or ``None``; ids plain
+    ``int`` and in range; the transitions ``Transition`` values strictly
+    increasing by (source, action name, target).  The fields are set in
+    declaration order, as the public constructor sets them, so pickles are
+    the same; nothing is checked."""
+    a = object.__new__(Automaton)
+    object.__setattr__(a, "labels", labels)
+    object.__setattr__(a, "initial", initial)
+    object.__setattr__(a, "transitions", transitions)
+    object.__setattr__(a, "terminating", terminating)
+    return a
+
+
 def _closure(rows: list[list[tuple[str, int]]], start: Iterable[int]) -> frozenset[int]:
     """States reachable from ``start`` along ``rows``, breadth first."""
     seen = set(start)
@@ -459,8 +483,11 @@ def derive_automaton(
 
     States are numbered in discovery order, with each state's successors
     explored sorted by (action name, rendered successor); labels carry the
-    rendered expressions.  Raises StateLimitExceeded once more than
-    ``max_states`` distinct expressions have been reached.  The canonical
+    rendered expressions.  Each state's row is then sorted by (action name,
+    target index).  A state's moves are distinct and states leave the queue
+    in index order, so the transitions come out deduplicated and sorted.
+    Raises StateLimitExceeded once more than ``max_states`` distinct
+    expressions have been reached.  The canonical
     node table with its termination flags, and the step and label memos
     keyed by node id, live for this call only and are dropped when it returns.
     """
@@ -487,7 +514,8 @@ def derive_automaton(
                 label = render_memoised(target, rendered)
             successors.append((action.name, label, action, target))
         successors.sort(key=by_name_and_label)
-        for _, label, action, target in successors:
+        row = []
+        for name, label, action, target in successors:
             target_index = index.get(id(target))
             if target_index is None:
                 if len(index) >= max_states:
@@ -495,13 +523,10 @@ def derive_automaton(
                 target_index = index[id(target)] = len(index)
                 labels.append(label)
                 queue.append(target)
-            transitions.append(_transition((source, action, target_index)))
-    return Automaton(
-        labels=tuple(labels),
-        initial=0,
-        transitions=tuple(transitions),
-        terminating=frozenset(terminating),
-    )
+            row.append((name, target_index, action))
+        row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
+        transitions += [_transition((source, action, t)) for _, t, action in row]
+    return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))
 
 
 def state_expressions(a: Automaton) -> tuple[Expression, ...]:
@@ -572,9 +597,73 @@ def automaton_from_dict(obj: object) -> Automaton:
         raise AutomatonFormatError("'initial' must be an integer state id")
     if not isinstance(raw_transitions, list):
         raise AutomatonFormatError("'transitions' must be an array")
+    n = len(labels)
+    transitions = _read_transitions(raw_transitions, n)
+    if transitions is None:
+        transitions = _scan_transitions(raw_transitions)
+    elif 0 <= initial < n:
+        return _canonical_automaton(tuple(labels), initial, transitions, frozenset(terminating))
+    try:  # unsorted, repeated or out of range: the public constructor normalises or rejects
+        return Automaton(
+            labels=tuple(labels),
+            initial=initial,
+            transitions=transitions,
+            terminating=frozenset(terminating),
+        )
+    except ValueError as exc:
+        raise AutomatonFormatError(str(exc)) from exc
+
+
+_source_of = operator.itemgetter("from")
+_name_of = operator.itemgetter("action")
+_target_of = operator.itemgetter("to")
+
+
+def _read_transitions(raw: list, n: int) -> tuple[Transition, ...] | None:
+    """The transitions of ``raw``, read in bulk, if every entry is a plain
+    ``dict`` with an ``int`` source and target and a ``str`` action, every id
+    is in ``0 .. n - 1`` and the entries are strictly increasing by (source,
+    action name, target), as the writer orders them; ``None`` otherwise.
+    Raises AutomatonFormatError for the first invalid action name: once every
+    entry is well formed, its first entry is the first bad one."""
+    if not raw:
+        return ()
+    if set(map(type, raw)) != {dict}:
+        return None
+    try:
+        sources = list(map(_source_of, raw))
+        names = list(map(_name_of, raw))
+        targets = list(map(_target_of, raw))
+    except KeyError:
+        return None
+    if (
+        set(map(type, sources)) != {int}
+        or set(map(type, targets)) != {int}
+        or set(map(type, names)) != {str}
+    ):
+        return None
+    actions = {name: _action(name) for name in dict.fromkeys(names)}
+    # zip hands each key tuple to ``lt`` and reuses it: no key list is built
+    increasing = all(map(
+        operator.lt,
+        zip(sources, names, targets),
+        zip(sources[1:], names[1:], targets[1:]),
+    ))
+    # Increasing keys start and end with the least and the greatest source.
+    if not (increasing and 0 <= sources[0] and sources[-1] < n):
+        return None
+    if not 0 <= min(targets) <= max(targets) < n:
+        return None
+    return tuple(map(_transition, zip(sources, map(actions.__getitem__, names), targets)))
+
+
+def _scan_transitions(raw: list) -> tuple[Transition, ...]:
+    """The transitions of ``raw`` entry by entry, in input order.  Raises
+    AutomatonFormatError at the first entry that is malformed or names an
+    invalid action."""
     transitions = []
     actions: dict[str, Action] = {}  # one Action, and one name check, per distinct name
-    for entry in raw_transitions:
+    for entry in raw:
         if not isinstance(entry, dict):
             raise AutomatonFormatError("each transition must be an object")
         try:
@@ -585,18 +674,14 @@ def automaton_from_dict(obj: object) -> Automaton:
             raise AutomatonFormatError(f"malformed transition {entry!r}")
         action = actions.get(name)
         if action is None:
-            try:
-                action = actions[name] = Action(name)
-            except ValueError as exc:
-                raise AutomatonFormatError(str(exc)) from exc
+            action = actions[name] = _action(name)
         transitions.append(_transition((source, action, target)))
+    return tuple(transitions)
+
+
+def _action(name: str) -> Action:
     try:
-        return Automaton(
-            labels=tuple(labels),
-            initial=initial,
-            transitions=tuple(transitions),
-            terminating=frozenset(terminating),
-        )
+        return Action(name)
     except ValueError as exc:
         raise AutomatonFormatError(str(exc)) from exc
 

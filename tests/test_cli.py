@@ -157,6 +157,15 @@ class TestScalars:
         assert run(["oc", "-e", "(a+b).c"]) == 0
         assert capsys.readouterr().out == "2\n"
 
+    def test_oc_on_a_long_flat_chain(self, tmp_path, capsys):
+        """3 000 left-nested ``+`` levels: ``oc`` answers as ``classify`` does."""
+        path = tmp_path / "chain.txt"
+        path.write_text("+".join(["a"] * 3000) + "\n")
+        assert run(["oc", "--expr-file", str(path)]) == 0
+        assert capsys.readouterr().out == "3000\n"
+        assert run(["classify", "--expr-file", str(path)]) == 0
+        assert capsys.readouterr().out == "BPA\n"
+
     def test_oc_rejects_encapsulation(self, capsys):
         assert run(["oc", "-e", "encap{a}(a)"]) == 2
 

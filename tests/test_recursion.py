@@ -12,7 +12,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpar"
 
 RECURSIVE = [
     "analysis.generate_random_expression.gen",
-    "analysis.oc_measure.oc",
     "semantics._Rules.step",
     "syntax._Parser._alternative",
     "syntax._Parser._atom",
