@@ -14,7 +14,7 @@ import operator
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,23 +65,30 @@ class _Rules:
 
     An instance serves one ``derive_automaton`` call, or one call of the
     public ``step`` or ``terminates``, and nothing outlives it.  ``canonical``
-    maps the input tree to nodes of the instance's table, bottom-up and
+    maps the input tree to nodes of the instance's tables, bottom-up and
     without recursion, and every node the rules build goes through the same
-    table.  Its key is (node type, id of each canonical child); ``Act`` nodes
-    are keyed by action name, ``Encap`` nodes by (blocked set, id of the
-    body) and ``0``/``1`` by type.  Structurally equal terms are therefore one
-    object, and ``terminating`` and ``step``, the render memo and derive's
-    state index are keyed by ``id()`` without hashing or comparing a tree.
+    tables.  ``||`` nodes are keyed by the id of the right child, then by
+    the id of the left one.  Every other node is keyed by (node type, id of
+    each canonical child); ``Act`` nodes by action name, ``Encap`` nodes by
+    (blocked set, id of the body) and ``0``/``1`` by type.  Structurally
+    equal terms are therefore one object, and ``terminating`` and ``step``,
+    the render memo and derive's state index are keyed by ``id()`` without
+    hashing or comparing a tree.
 
     ``canonical`` and ``step`` dispatch on ``type(node)``, most frequent kind
     first, and the lifting loops of ``.``, ``*``, ``||`` and ``encap`` look
-    the table up inline, one dict lookup per move and no call.  ``||`` reads
-    a child's memo entry before it recurses into the child.
+    the tables up inline, with no call.  A left lift of ``L || R`` reads
+    ``R``'s row of the ``||`` table once and then one id per move; a right
+    lift or a communication reads two ids, and builds no key tuple.  ``||``
+    reads a child's memo entry before it recurses into the child.  The
+    communication function is indexed by action name, each name mapping its
+    partners' names to the result, so a left move whose name has no partner
+    skips the right side's moves.
 
-    Invariant: the table holds every canonical node until the instance is
+    Invariant: the tables hold every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
-    termination flag is set in ``terminating`` once, as the node joins the
-    table, from the flags of its children, which joined it before; nothing
+    termination flag is set in ``terminating`` once, as the node joins a
+    table, from the flags of its children, which joined before it; nothing
     computes it later.  A node's moves are a tuple of (action, canonical
     target) pairs, no two with the same action name and target.  Each
     child's moves already are, so only moves from different sources can
@@ -95,12 +102,15 @@ class _Rules:
     Only ``step`` recurses, one frame per nesting level.
     """
 
-    __slots__ = ("_comm", "_table", "terminating", "_steps")
+    __slots__ = ("_partners", "_table", "_par", "terminating", "_steps")
 
     def __init__(self, comm: CommFn):
-        # gamma keyed by action names: a lookup hashes two strings, not two Actions
-        self._comm = {(a.name, b.name): c for (a, b), c in comm._table.items()}
+        partners: dict[str, dict[str, Action]] = {}
+        for (a, b), c in comm._table.items():
+            partners.setdefault(a.name, {})[b.name] = c
+        self._partners = partners
         self._table: dict[tuple, Expression] = {(Deadlock,): DEADLOCK, (Empty,): EMPTY}
+        self._par: dict[int, dict[int, Par]] = {}
         self.terminating: dict[int, bool] = {id(DEADLOCK): False, id(EMPTY): True}
         self._steps: dict[int, tuple[tuple[Action, Expression], ...]] = {}
 
@@ -108,6 +118,7 @@ class _Rules:
         """The table's node structurally equal to ``e``.  An input node whose
         children are already canonical joins the table as it is."""
         table = self._table
+        par = self._par
         terminating = self.terminating
         canon: dict[int, Expression] = {}
         stack = [e]
@@ -126,13 +137,20 @@ class _Rules:
                     if right is None:
                         stack.append(node.right)
                     continue
-                key = (kind, id(left), id(right))
-                found = table.get(key)
+                if kind is Par:
+                    nodes = par.get(id(right))
+                    if nodes is None:
+                        nodes = par[id(right)] = {}
+                    key = id(left)
+                else:
+                    nodes = table
+                    key = (kind, id(left), id(right))
+                found = nodes.get(key)
                 if found is None:
                     if left is node.left and right is node.right:
-                        found = table[key] = node
+                        found = nodes[key] = node
                     else:
-                        found = table[key] = kind(left, right)
+                        found = nodes[key] = kind(left, right)
                     if kind is Alt:
                         terminating[id(found)] = terminating[id(left)] or terminating[id(right)]
                     else:
@@ -183,17 +201,18 @@ class _Rules:
             rsteps = steps.get(id(right))
             if rsteps is None:
                 rsteps = self.step(right)
+            par = self._par
             found = []
             right_id = id(right)
             right_ends = terminating[right_id]
             left_loops = right_loops = False
+            nodes = par[right_id]  # holds e itself
             for a, left2 in lsteps:
                 if left2 is left:
                     left_loops = True
-                key = (Par, id(left2), right_id)
-                node = table.get(key)
+                node = nodes.get(id(left2))
                 if node is None:
-                    node = table[key] = Par(left2, right)
+                    node = nodes[id(left2)] = Par(left2, right)
                     terminating[id(node)] = terminating[id(left2)] and right_ends
                 found.append((a, node))
             left_id = id(left)
@@ -201,24 +220,31 @@ class _Rules:
             for b, right2 in rsteps:
                 if right2 is right:
                     right_loops = True
-                key = (Par, left_id, id(right2))
-                node = table.get(key)
+                nodes = par.get(id(right2))
+                if nodes is None:
+                    nodes = par[id(right2)] = {}
+                node = nodes.get(left_id)
                 if node is None:
-                    node = table[key] = Par(left, right2)
+                    node = nodes[left_id] = Par(left, right2)
                     terminating[id(node)] = left_ends and terminating[id(right2)]
                 found.append((b, node))
             lifts = len(found)
-            comm = self._comm
-            if comm:
+            all_partners = self._partners
+            if all_partners:
                 for a, left2 in lsteps:
+                    partners = all_partners.get(a.name)
+                    if partners is None:
+                        continue
                     for b, right2 in rsteps:
-                        c = comm.get((a.name, b.name))
+                        c = partners.get(b.name)
                         if c is None:
                             continue
-                        key = (Par, id(left2), id(right2))
-                        node = table.get(key)
+                        nodes = par.get(id(right2))
+                        if nodes is None:
+                            nodes = par[id(right2)] = {}
+                        node = nodes.get(id(left2))
                         if node is None:
-                            node = table[key] = Par(left2, right2)
+                            node = nodes[id(left2)] = Par(left2, right2)
                             terminating[id(node)] = (
                                 terminating[id(left2)] and terminating[id(right2)]
                             )
@@ -326,6 +352,26 @@ def _is_state_id(value: object) -> bool:
     return type(value) is int
 
 
+class _cached:
+    """``functools.cached_property`` without its lock, as Python 3.12 has it.
+    A non-data descriptor: the first read computes the value and stores it
+    in the instance ``__dict__`` under the attribute's name, where every
+    later read finds it without calling ``__get__``."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Automaton:
     """A finite labelled transition system with a termination predicate.
@@ -393,7 +439,7 @@ class Automaton:
         succ, _, action_of = self._rows
         return [[(action_of[name], t) for name, t in row] for row in succ]
 
-    @cached_property
+    @_cached
     def _rows(
         self,
     ) -> tuple[list[list[tuple[str, int]]], list[list[tuple[str, int]]], dict[str, Action]]:
@@ -410,12 +456,12 @@ class Automaton:
             pred[target].append((name, source))
         return succ, pred, action_of
 
-    @cached_property
+    @_cached
     def _normed(self) -> frozenset[int]:
         """States from which some terminating state is reachable."""
         return _closure(self._rows[1], self.terminating)
 
-    @cached_property
+    @_cached
     def _scc(self) -> SccDecomposition:
         """The SCC decomposition, from the one Tarjan pass that
         ``analysis.scc_decompose`` and both checks share."""
@@ -423,7 +469,7 @@ class Automaton:
 
         return _tarjan(self)
 
-    @cached_property
+    @_cached
     def _exits(self) -> tuple[tuple[tuple[int, ...], ...], tuple[frozenset[tuple[str, int]], ...]]:
         """Each SCC's alive exit states and each state's normed exits, as
         ``analysis._exit_structure`` builds them for both checks."""
@@ -483,12 +529,14 @@ def derive_automaton(
 
     States are numbered in discovery order, with each state's successors
     explored sorted by (action name, rendered successor); labels carry the
-    rendered expressions.  Each state's row is then sorted by (action name,
-    target index).  A state's moves are distinct and states leave the queue
-    in index order, so the transitions come out deduplicated and sorted.
-    Raises StateLimitExceeded once more than ``max_states`` distinct
-    expressions have been reached.  The canonical
-    node table with its termination flags, and the step and label memos
+    rendered expressions.  A move to a state already numbered numbers
+    nothing, so it goes straight into the row, and only the moves to new
+    states are rendered, sorted and numbered.  Each state's row is then
+    sorted by (action name, target index).  A state's moves are distinct
+    and states leave the queue in index order, so the transitions come out
+    deduplicated and sorted.  Raises StateLimitExceeded once more than
+    ``max_states`` distinct expressions have been reached.  The canonical
+    node tables with their termination flags, and the step and label memos
     keyed by node id, live for this call only and are dropped when it returns.
     """
     if max_states < 1:
@@ -507,23 +555,25 @@ def derive_automaton(
         source = index[id(current)]
         if rules.terminating[id(current)]:
             terminating.add(source)
-        successors = []
-        for action, target in rules.step(current):
-            label = rendered.get(id(target))
-            if label is None:
-                label = render_memoised(target, rendered)
-            successors.append((action.name, label, action, target))
-        successors.sort(key=by_name_and_label)
         row = []
-        for name, label, action, target in successors:
+        new = []
+        for action, target in rules.step(current):
             target_index = index.get(id(target))
             if target_index is None:
-                if len(index) >= max_states:
-                    raise StateLimitExceeded(max_states, len(index) - len(queue), len(queue))
-                target_index = index[id(target)] = len(index)
-                labels.append(label)
-                queue.append(target)
-            row.append((name, target_index, action))
+                new.append((action.name, render_memoised(target, rendered), action, target))
+            else:
+                row.append((action.name, target_index, action))
+        if new:
+            new.sort(key=by_name_and_label)
+            for name, label, action, target in new:
+                target_index = index.get(id(target))  # two new moves may share a target
+                if target_index is None:
+                    if len(index) >= max_states:
+                        raise StateLimitExceeded(max_states, len(index) - len(queue), len(queue))
+                    target_index = index[id(target)] = len(index)
+                    labels.append(label)
+                    queue.append(target)
+                row.append((name, target_index, action))
         row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
         transitions += [_transition((source, action, t)) for _, t, action in row]
     return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))

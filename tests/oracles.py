@@ -4,6 +4,8 @@ Everything here deliberately avoids the library's own algorithms: the
 bisimilarity oracle deletes violating pairs from the full relation, the step
 oracles check a single derivation rule at a time or apply every rule to the
 tree as sets, and read termination off the tree with their own predicate,
+the derivation oracle closes the set-based step relation over structurally
+equal states,
 the communication-function oracle evaluates every triple of the table
 closure, the isomorphism oracle tries every permutation, and the automaton
 builders assemble states and transitions directly.
@@ -31,6 +33,7 @@ from starpar import (
     Seq,
     Star,
     Transition,
+    render_expression,
 )
 
 
@@ -239,6 +242,34 @@ def acp_step(e: Expression, comm: CommFn) -> frozenset[tuple[Action, Expression]
             (a, Encap(e.blocked, b2)) for a, b2 in acp_step(e.body, comm) if a not in e.blocked
         )
     raise TypeError(f"not an expression: {e!r}")
+
+
+def naive_derive(e: Expression, comm: CommFn) -> Automaton:
+    """Breadth-first closure of ``acp_step`` from ``e``, states told apart by
+    structural equality.  Each state's successors are numbered, when first
+    reached, in (action name, rendered successor) order; labels are the
+    rendered states, and each row is sorted by (action name, target index).
+    Built through the public constructor, whose own sort then agrees with
+    the row order because states leave the queue in index order."""
+    index = {e: 0}
+    states = [e]
+    transitions = []
+    for source, state in enumerate(states):  # the loop sees states appended below
+        moves = sorted(acp_step(state, comm), key=lambda m: (m[0].name, render_expression(m[1])))
+        row = []
+        for action, target in moves:
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            row.append((action.name, index[target], action))
+        row.sort(key=lambda r: r[:2])
+        transitions += [Transition(source, action, t) for _, t, action in row]
+    return Automaton(
+        labels=tuple(render_expression(s) for s in states),
+        initial=0,
+        transitions=tuple(transitions),
+        terminating=frozenset(i for i, s in enumerate(states) if _terminates(s)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from starpar import (
 from tests.samples import TWO_EXIT_LOOP_EXPR, INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, communicating_gamma
 from starpar import analysis
 from starpar.semantics import _Rules
-from tests.oracles import acp_step, interleaving_step, rule_derivable
+from tests.oracles import acp_step, interleaving_step, naive_derive, rule_derivable
 
 a, b, c = act("a"), act("b"), act("c")
 
@@ -258,6 +258,21 @@ class TestAcpStep:
         }
         assert moves == acp_step(COMMUNICATING_PAIR, ONE_RULE_GAMMA)
 
+    def test_one_name_with_several_partners_and_one_with_none(self):
+        # a communicates with itself and with b and c; d with nothing
+        gamma = CommFn([
+            (Action("a"), Action("a"), Action("s")),
+            (Action("a"), Action("b"), Action("t")),
+            (Action("a"), Action("c"), Action("u")),
+        ])
+        results = set()
+        for text in ("(d+a)* || (a+b+c+d)*", "a.d || b+c+a+d", "encap{a,b}((a.d+c)* || (b+d)*.a)"):
+            auto = derive_automaton(parse_expression(text), gamma)
+            for state in state_expressions(auto):
+                assert step(state, gamma) == acp_step(state, gamma)
+            results |= {t.action.name for t in auto.transitions} & {"s", "t", "u"}
+        assert results == {"s", "t", "u"}
+
 
 class TestMoveInvariant:
     """No node's moves in ``_Rules`` repeat an (action name, target) pair.
@@ -366,6 +381,28 @@ class TestDerive:
             derive_automaton(parse_expression("a.b.c"), max_states=2)
         assert (info.value.expanded, info.value.queued) == (2, 0)
 
+    # A row that mixes targets numbered before the state was expanded with
+    # new ones, and the limit hit at a new target after a known one, all
+    # under b e -> s.
+    @pytest.mark.parametrize(
+        "text, limit, expanded, queued",
+        [
+            ("a* || b", 3, 2, 1),  # state 1: a back to itself, then b
+            ("a* || b* || c", 4, 2, 2),  # state 1: a back to itself, then b
+            ("(a+b)* || c.d", 5, 4, 1),  # state 3: a and b back to itself, then d
+            ("(a.b+c)*.d || (e.f)*", 5, 2, 3),  # state 1: b to state 2, then e
+            # state 4: a new, c back to itself, then d
+            ("encap{b,e}((a.b+c)*.d || (e.f)*)", 6, 5, 1),
+        ],
+    )
+    def test_state_limit_after_a_known_target(self, text, limit, expanded, queued):
+        gamma = CommFn([(Action("b"), Action("e"), Action("s"))])
+        with pytest.raises(StateLimitExceeded) as info:
+            derive_automaton(parse_expression(text), gamma, max_states=limit)
+        exc = info.value
+        assert (exc.limit, exc.expanded, exc.queued) == (limit, expanded, queued)
+        assert str(exc) == f"state limit of {limit} exceeded: {expanded} expanded, {queued} queued"
+
     def test_gamma_irrelevant_for_sequential_expressions(self):
         gamma = communicating_gamma()
         for seed in range(100):
@@ -375,6 +412,32 @@ class TestDerive:
     def test_transitions_sorted(self):
         auto = derive_automaton(parse_expression(COMMUNICATING_LOOP_EXPR), communicating_gamma())
         assert list(auto.transitions) == sorted(auto.transitions)
+
+
+class TestDeriveOracle:
+    """``derive_automaton`` against ``oracles.naive_derive``, a breadth-first
+    closure of the set-based ``acp_step`` over structurally equal states:
+    same states, labels, numbering, termination and transition order."""
+
+    @pytest.mark.parametrize("gamma", [EMPTY_COMM, *GAMMAS], ids=["none", *GAMMA_IDS])
+    def test_random_acp_terms(self, gamma):
+        terms = random_acp_terms(300, 4, 4_100)
+        assert sum(isinstance(e, Encap) for e in terms) > 30
+        states = 0
+        for e in terms:
+            auto = derive_automaton(e, gamma)
+            expected = naive_derive(e, gamma)
+            assert auto == expected
+            assert auto.transitions == expected.transitions
+            assert automaton_to_json(auto) == automaton_to_json(expected)
+            states += auto.n_states
+        assert states > 1_200
+
+    def test_interleavings_with_a_handshake(self):
+        gamma = CommFn([(Action("b"), Action("f"), Action("s"))])
+        for text in ("(a.b+c)*.d || (e.f)*.g || (h+i)*", "encap{b,f}((a.b+c)*.d || (e.f)*.g || (h+i)*)"):
+            e = parse_expression(text)
+            assert derive_automaton(e, gamma) == naive_derive(e, gamma)
 
 
 class TestAdjacencyCache:
@@ -552,6 +615,20 @@ class TestCanonicalNodes:
             states = state_expressions(auto)
             for t in auto.transitions:
                 assert rule_derivable(states[t.source], t.action, states[t.target], gamma)
+
+    def test_lifts_and_canonical_share_one_node_per_term(self):
+        gamma = CommFn([(Action("a"), Action("b"), Action("s"))])
+        # the rules build the || nodes first, then canonical finds them
+        rules = _Rules(gamma)
+        targets = {a.name: t for a, t in rules.step(rules.canonical(parse_expression("a || b")))}
+        for name, text in (("a", "1 || b"), ("b", "a || 1"), ("s", "1 || 1")):
+            assert rules.canonical(parse_expression(text)) is targets[name]
+        # canonical builds them first, then the rules find them
+        rules = _Rules(gamma)
+        e = rules.canonical(parse_expression("(1 || b) + (a || 1) + (1 || 1) + (a || b)"))
+        built = {e.left.left.left, e.left.left.right, e.left.right}
+        assert {t for _, t in rules.step(e.right)} == built
+        assert {id(t) for _, t in rules.step(e.right)} == {id(t) for t in built}
 
     def test_public_step_and_terminates_on_copied_subterms(self):
         for seed in range(150):
