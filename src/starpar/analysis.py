@@ -292,19 +292,13 @@ def _state_name(a: Automaton, s: int) -> str:
     return f"{s} ({label})" if label is not None else str(s)
 
 
-class _StateNames(dict):
-    """``_state_name`` of each state of one automaton, rendered on first use."""
-
-    def __init__(self, a: Automaton):
-        self.a = a
-
-    def __missing__(self, s: int) -> str:
-        name = self[s] = _state_name(self.a, s)
-        return name
-
-
-def _render_exits(exits: frozenset[tuple[str, int]], names: _StateNames) -> str:
-    return "{" + ", ".join(f"({name}, {names[t]})" for name, t in sorted(exits)) + "}"
+def _render_exits(a: Automaton, exits: frozenset[tuple[str, int]], names: dict[int, str]) -> str:
+    """``names`` holds each target's ``_state_name`` once it is rendered, so a
+    state in many exit sets is rendered once."""
+    return "{" + ", ".join(
+        f"({name}, {names.get(t) or names.setdefault(t, _state_name(a, t))})"
+        for name, t in sorted(exits)
+    ) + "}"
 
 
 def check_bpa_property(a: Automaton) -> PropertyReport:
@@ -313,7 +307,7 @@ def check_bpa_property(a: Automaton) -> PropertyReport:
     transitions, and agree on the termination flag."""
     d = scc_decompose(a)
     alive_of, extn = a._exits
-    names = _StateNames(a)  # one name per state, however many exit sets hold it
+    names: dict[int, str] = {}
     witnesses = []
     for cid in d.non_trivial():
         alive = alive_of[cid]
@@ -321,13 +315,13 @@ def check_bpa_property(a: Automaton) -> PropertyReport:
             continue
         if len({extn[s] for s in alive}) > 1:
             details = "normed exit sets differ: " + "; ".join(
-                f"Extn({names[s]}) = {_render_exits(extn[s], names)}" for s in alive
+                f"Extn({_state_name(a, s)}) = {_render_exits(a, extn[s], names)}" for s in alive
             )
             witnesses.append(Witness(cid, tuple(alive), details))
         flags = {s: s in a.terminating for s in alive}
         if len(set(flags.values())) > 1:
             details = "termination flags differ among alive exit states: " + "; ".join(
-                f"{names[s]} {'terminates' if flag else 'does not terminate'}"
+                f"{_state_name(a, s)} {'terminates' if flag else 'does not terminate'}"
                 for s, flag in flags.items()
             )
             witnesses.append(Witness(cid, tuple(alive), details))
