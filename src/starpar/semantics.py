@@ -5,6 +5,12 @@ as ``1.p -> p`` is applied, so two states are identical exactly when their
 ASTs are structurally equal.  Within one derivation every node is taken from
 a table of canonical nodes, one object per distinct subterm, so the rules
 recognise equal states by identity and never hash or compare a tree.
+
+A root that is ``||`` or ``encap`` is derived as the product of the leaves of
+its spine, the maximal ``||``/``encap`` part of the tree above them: no rule
+removes a spine node, so a state is one state per leaf, keyed by one int, and
+its label is filled into the spine's text.  Every other root is derived state
+by state through the rules.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -33,6 +40,8 @@ from .syntax import (
     Par,
     Seq,
     Star,
+    _PREC_PAR,
+    _wrap,
     parse_expression,
     render_expression,  # noqa: F401 - perfbench/tracing.py wraps the name here
     render_memoised,
@@ -65,29 +74,30 @@ class _Rules:
 
     An instance serves one ``derive_automaton`` call, or one call of the
     public ``step`` or ``terminates``, and nothing outlives it.  ``canonical``
-    maps the input tree to nodes of the instance's tables, bottom-up and
+    maps the input tree to nodes of the instance's table, bottom-up and
     without recursion, and every node the rules build goes through the same
-    tables.  ``||`` nodes are keyed by the id of the right child, then by
-    the id of the left one.  Every other node is keyed by (node type, id of
-    each canonical child); ``Act`` nodes by action name, ``Encap`` nodes by
-    (blocked set, id of the body) and ``0``/``1`` by type.  Structurally
-    equal terms are therefore one object, and ``terminating`` and ``step``,
-    the render memo and derive's state index are keyed by ``id()`` without
-    hashing or comparing a tree.
+    table.  A node is keyed by (node type, id of each canonical child);
+    ``Act`` nodes by action name, ``Encap`` nodes by (blocked set, id of the
+    body) and ``0``/``1`` by type.  Structurally equal terms are therefore
+    one object, and ``terminating`` and ``step``, the render memo and
+    derive's state index are keyed by ``id()`` without hashing or comparing
+    a tree.
 
-    ``canonical`` and ``step`` dispatch on ``type(node)``, most frequent kind
-    first, and the lifting loops of ``.``, ``*``, ``||`` and ``encap`` look
-    the tables up inline, with no call.  A left lift of ``L || R`` reads
-    ``R``'s row of the ``||`` table once and then one id per move; a right
-    lift or a communication reads two ids, and builds no key tuple.  ``||``
-    reads a child's memo entry before it recurses into the child.  The
-    communication function is indexed by action name, each name mapping its
-    partners' names to the result, so a left move whose name has no partner
-    skips the right side's moves.
+    ``step`` gives the moves of every node outside the ``||``/``encap``
+    spine of a derivation's root, which ``derive_automaton`` treats as a
+    product (see ``_derive_product``): the states of any other root, the
+    states of a spine's leaves, ``||`` below ``.``, ``+`` or ``*`` among
+    them, and the argument of the public ``step``.  ``canonical`` and ``step`` dispatch on ``type(node)``, most
+    frequent kind first, and the lifting loops of ``.``, ``*``, ``||`` and
+    ``encap`` look the table up inline, with no call.  ``||`` reads a
+    child's memo entry before it recurses into the child.  The communication
+    function is indexed by action name, each name mapping its partners'
+    names to the result, so a left move whose name has no partner skips the
+    right side's moves.
 
-    Invariant: the tables hold every canonical node until the instance is
+    Invariant: the table holds every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
-    termination flag is set in ``terminating`` once, as the node joins a
+    termination flag is set in ``terminating`` once, as the node joins the
     table, from the flags of its children, which joined before it; nothing
     computes it later.  A node's moves are a tuple of (action, canonical
     target) pairs, no two with the same action name and target.  Each
@@ -102,7 +112,7 @@ class _Rules:
     Only ``step`` recurses, one frame per nesting level.
     """
 
-    __slots__ = ("_partners", "_table", "_par", "terminating", "_steps")
+    __slots__ = ("_partners", "_table", "terminating", "_steps")
 
     def __init__(self, comm: CommFn):
         partners: dict[str, dict[str, Action]] = {}
@@ -110,7 +120,6 @@ class _Rules:
             partners.setdefault(a.name, {})[b.name] = c
         self._partners = partners
         self._table: dict[tuple, Expression] = {(Deadlock,): DEADLOCK, (Empty,): EMPTY}
-        self._par: dict[int, dict[int, Par]] = {}
         self.terminating: dict[int, bool] = {id(DEADLOCK): False, id(EMPTY): True}
         self._steps: dict[int, tuple[tuple[Action, Expression], ...]] = {}
 
@@ -118,7 +127,6 @@ class _Rules:
         """The table's node structurally equal to ``e``.  An input node whose
         children are already canonical joins the table as it is."""
         table = self._table
-        par = self._par
         terminating = self.terminating
         canon: dict[int, Expression] = {}
         stack = [e]
@@ -137,20 +145,13 @@ class _Rules:
                     if right is None:
                         stack.append(node.right)
                     continue
-                if kind is Par:
-                    nodes = par.get(id(right))
-                    if nodes is None:
-                        nodes = par[id(right)] = {}
-                    key = id(left)
-                else:
-                    nodes = table
-                    key = (kind, id(left), id(right))
-                found = nodes.get(key)
+                key = (kind, id(left), id(right))
+                found = table.get(key)
                 if found is None:
                     if left is node.left and right is node.right:
-                        found = nodes[key] = node
+                        found = table[key] = node
                     else:
-                        found = nodes[key] = kind(left, right)
+                        found = table[key] = kind(left, right)
                     if kind is Alt:
                         terminating[id(found)] = terminating[id(left)] or terminating[id(right)]
                     else:
@@ -201,18 +202,17 @@ class _Rules:
             rsteps = steps.get(id(right))
             if rsteps is None:
                 rsteps = self.step(right)
-            par = self._par
             found = []
             right_id = id(right)
             right_ends = terminating[right_id]
             left_loops = right_loops = False
-            nodes = par[right_id]  # holds e itself
             for a, left2 in lsteps:
                 if left2 is left:
                     left_loops = True
-                node = nodes.get(id(left2))
+                key = (Par, id(left2), right_id)
+                node = table.get(key)
                 if node is None:
-                    node = nodes[id(left2)] = Par(left2, right)
+                    node = table[key] = Par(left2, right)
                     terminating[id(node)] = terminating[id(left2)] and right_ends
                 found.append((a, node))
             left_id = id(left)
@@ -220,12 +220,10 @@ class _Rules:
             for b, right2 in rsteps:
                 if right2 is right:
                     right_loops = True
-                nodes = par.get(id(right2))
-                if nodes is None:
-                    nodes = par[id(right2)] = {}
-                node = nodes.get(left_id)
+                key = (Par, left_id, id(right2))
+                node = table.get(key)
                 if node is None:
-                    node = nodes[left_id] = Par(left, right2)
+                    node = table[key] = Par(left, right2)
                     terminating[id(node)] = left_ends and terminating[id(right2)]
                 found.append((b, node))
             lifts = len(found)
@@ -239,12 +237,10 @@ class _Rules:
                         c = partners.get(b.name)
                         if c is None:
                             continue
-                        nodes = par.get(id(right2))
-                        if nodes is None:
-                            nodes = par[id(right2)] = {}
-                        node = nodes.get(id(left2))
+                        key = (Par, id(left2), id(right2))
+                        node = table.get(key)
                         if node is None:
-                            node = nodes[id(left2)] = Par(left2, right2)
+                            node = table[key] = Par(left2, right2)
                             terminating[id(node)] = (
                                 terminating[id(left2)] and terminating[id(right2)]
                             )
@@ -344,6 +340,8 @@ class Transition(NamedTuple):
 # Transition(s, a, t) runs the named tuple's Python-level __new__; derive and
 # the JSON reader build the same value in C, at about 0.6 of the cost per edge.
 _transition = partial(tuple.__new__, Transition)
+# Derive orders the moves to new states by (action name, label).
+_by_name_and_label = operator.itemgetter(0, 1)
 
 
 def _is_state_id(value: object) -> bool:
@@ -536,20 +534,28 @@ def derive_automaton(
     and states leave the queue in index order, so the transitions come out
     deduplicated and sorted.  Raises StateLimitExceeded once more than
     ``max_states`` distinct expressions have been reached.  The canonical
-    node tables with their termination flags, and the step and label memos
+    node table with its termination flags, and the step and label memos
     keyed by node id, live for this call only and are dropped when it returns.
+
+    A ``||`` or ``encap`` root takes ``_derive_product``: its states are
+    tuples of leaf states of its spine, keyed by one mixed-radix int, their
+    moves come from one pass over the spine and their labels from the
+    spine's text with each leaf's text in its slot.  Every other root takes
+    the loop below, which asks ``_Rules.step`` for each state's moves.  Both
+    number, label and limit the states alike.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
     rules = _Rules(comm)
     e = rules.canonical(e)
+    if type(e) is Par or type(e) is Encap:
+        return _derive_product(rules, e, max_states)
     rendered: dict[int, str] = {}
     index: dict[int, int] = {id(e): 0}
     labels: list[str] = [render_memoised(e, rendered)]
     queue: deque[Expression] = deque([e])
     transitions: list[Transition] = []
     terminating: set[int] = set()
-    by_name_and_label = operator.itemgetter(0, 1)
     while queue:
         current = queue.popleft()
         source = index[id(current)]
@@ -564,7 +570,7 @@ def derive_automaton(
             else:
                 row.append((action.name, target_index, action))
         if new:
-            new.sort(key=by_name_and_label)
+            new.sort(key=_by_name_and_label)
             for name, label, action, target in new:
                 target_index = index.get(id(target))  # two new moves may share a target
                 if target_index is None:
@@ -575,6 +581,233 @@ def derive_automaton(
                     queue.append(target)
                 row.append((name, target_index, action))
         row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
+        transitions += [_transition((source, action, t)) for _, t, action in row]
+    return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))
+
+
+_LEAF, _PAR, _ENCAP = 0, 1, 2
+
+
+def _flatten_spine(
+    root: Expression, rendered: dict[int, str]
+) -> tuple[list[tuple[int, object]], list[Expression], list[int], list[str], list[int]]:
+    """The maximal ``||``/``encap`` spine under ``root``, walked once with an
+    explicit stack.  Returns its post-order ops; its leaves, the maximal
+    subterms that are neither ``||`` nor ``encap``, left to right; the
+    precedence each leaf's text is wrapped against; the root's label as a
+    list of texts, ``render_memoised``'s pieces around the leaves (``||``,
+    the parentheses of a ``||`` right operand, ``encap{..}(`` and its ``)``)
+    with each leaf's wrapped text in a slot of its own; and the slots'
+    positions.  An op is ``(_LEAF, leaf index)``, ``(_PAR, None)`` or
+    ``(_ENCAP, blocked names)``."""
+    ops: list[tuple[int, object]] = []
+    leaves: list[Expression] = []
+    minimum: list[int] = []
+    parts: list[str] = []
+    slots: list[int] = []
+    stack: list = [(root, 0)]  # (node, precedence to wrap against), an op, or literal text
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, least = item
+        kind = type(node)
+        if kind is int:
+            ops.append(item)
+        elif kind is Par:
+            if least > _PREC_PAR:
+                stack += [")", (_PAR, None), (node.right, _PREC_PAR + 1), "||", (node.left, _PREC_PAR), "("]
+            else:
+                stack += [(_PAR, None), (node.right, _PREC_PAR + 1), "||", (node.left, _PREC_PAR)]
+        elif kind is Encap:
+            names = frozenset(a.name for a in node.blocked)
+            stack += [")", (_ENCAP, names), (node.body, 0), f"encap{{{','.join(sorted(names))}}}("]
+        else:
+            ops.append((_LEAF, len(leaves)))
+            leaves.append(node)
+            minimum.append(least)
+            slots.append(len(parts))
+            parts.append(_wrap(render_memoised(node, rendered), node, least))
+    return ops, leaves, minimum, parts, slots
+
+
+def _state_bounds(roots: list[Expression]) -> list[int]:
+    """An upper bound on the number of states reachable from each of
+    ``roots``: 2 for an action, the sum of the operands' bounds for ``.`` and
+    ``+``, the body's plus one for ``*``, the product for ``||``, the body's
+    for ``encap`` and 1 for ``0`` and ``1``.  A post-order walk over the
+    distinct nodes, without recursion."""
+    bound: dict[int, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in bound:
+            stack.pop()
+            continue
+        kind = type(node)
+        if kind is Act:
+            value = 2
+        elif kind is Star or kind is Encap:
+            body = bound.get(id(node.body))
+            if body is None:
+                stack.append(node.body)
+                continue
+            value = body + 1 if kind is Star else body
+        elif kind is Seq or kind is Alt or kind is Par:
+            left = bound.get(id(node.left))
+            right = bound.get(id(node.right))
+            if left is None or right is None:
+                if left is None:
+                    stack.append(node.left)
+                if right is None:
+                    stack.append(node.right)
+                continue
+            value = left * right if kind is Par else left + right
+        else:  # 0 and 1
+            value = 1
+        stack.pop()
+        bound[id(node)] = value
+    return [bound[id(node)] for node in roots]
+
+
+def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automaton:
+    """``derive_automaton`` of a canonical ``||`` or ``encap`` root, as the
+    product of its spine's leaves.
+
+    No rule removes a ``||`` or ``encap`` node, so every state has the
+    root's spine over one state of each leaf.  A leaf's states are numbered
+    0, 1, ... as they are reached, and a state is the list of its leaves'
+    numbers, keyed by one int in mixed radix: leaf ``i``'s digit has the
+    stride of the product of the state bounds of the leaves before it.  A
+    leaf's moves come from ``_Rules.step``, memoised per leaf state as
+    (name, action, key delta, ((leaf, new number),)) tuples.  A state's
+    moves come from one bottom-up pass over the spine's ops: a ``||`` lifts
+    by concatenating its operands' moves and pairs the ones ``_partners``
+    matches, adding their deltas and joining their changes; an ``encap``
+    drops moves by name.  No target is built below the root: a move's
+    target key is the state's key plus its delta.  As in ``_Rules.step``,
+    moves can repeat only once a communication fired or both operands of a
+    ``||`` may stay put, and are then deduplicated.  A new state's label is
+    its source's label pieces with the moved leaves' texts swapped in.
+    Numbering, rows and StateLimitExceeded are those of the loop in
+    ``derive_automaton``."""
+    rendered: dict[int, str] = {}
+    ops, leaves, minimum, parts, slots = _flatten_spine(root, rendered)
+    bounds = _state_bounds(leaves[:-1])  # the last leaf's digit has nothing above it
+    strides = list(accumulate(bounds, operator.mul, initial=1))
+    partners = rules._partners
+    flags = rules.terminating
+    numbers: list[dict[int, int]] = []  # per leaf: the number of each state's node id
+    memo: list[list] = []  # per leaf and state: the node, then (moves, loops)
+    texts: list[list[str]] = []  # per leaf and state: the wrapped text
+    ends: list[list[bool]] = []  # per leaf and state: the termination flag
+    for leaf, slot in zip(leaves, slots):
+        numbers.append({id(leaf): 0})
+        memo.append([leaf])
+        texts.append([parts[slot]])
+        ends.append([flags[id(leaf)]])
+
+    def leaf_moves(i: int, x: int) -> tuple[list, bool]:
+        known = numbers[i]
+        states = memo[i]
+        stride = strides[i]
+        moves = []
+        loops = False
+        for action, target in rules.step(states[x]):
+            y = known.get(id(target))
+            if y is None:
+                y = known[id(target)] = len(states)
+                if i < len(bounds) and y >= bounds[i]:  # a wrong bound would merge two keys
+                    raise RuntimeError(f"leaf {i} exceeds its state bound {bounds[i]}")
+                states.append(target)
+                texts[i].append(_wrap(render_memoised(target, rendered), target, minimum[i]))
+                ends[i].append(flags[id(target)])
+            elif y == x:
+                loops = True
+            moves.append((action.name, action, (y - x) * stride, ((i, y),)))
+        entry = states[x] = (moves, loops)
+        return entry
+
+    getitem = operator.getitem
+    index: dict[int, int] = {0: 0}
+    labels = ["".join(parts)]
+    # (key, leaf numbers, label pieces) of each state, in index order
+    pending: list[tuple[int, list[int], list[str]]] = [(0, [0] * len(leaves), parts)]
+    transitions: list[Transition] = []
+    terminating: set[int] = set()
+    for source, (key, state, pieces) in enumerate(pending):  # the loop sees states appended below
+        if all(map(getitem, ends, state)):
+            terminating.add(source)
+        values: list[tuple[list, bool]] = []
+        repeats = False
+        for op, arg in ops:
+            if op == _LEAF:
+                entry = memo[arg][state[arg]]
+                values.append(entry if type(entry) is tuple else leaf_moves(arg, state[arg]))
+            elif op == _PAR:
+                right, right_loops = values.pop()
+                left, left_loops = values[-1]
+                if not right:
+                    continue
+                if not left:
+                    values[-1] = (right, right_loops)
+                    continue
+                found = left + right
+                if left_loops and right_loops:
+                    repeats = True
+                if partners:
+                    small, big = (left, right) if len(left) <= len(right) else (right, left)
+                    matched = [
+                        (names, delta, changes)
+                        for name, _, delta, changes in small
+                        if (names := partners.get(name)) is not None
+                    ]
+                    if matched:
+                        lifts = len(found)
+                        for name, _, delta2, changes2 in big:
+                            for names, delta, changes in matched:
+                                c = names.get(name)
+                                if c is not None:
+                                    found.append((c.name, c, delta + delta2, changes + changes2))
+                        if len(found) > lifts:
+                            repeats = True
+                values[-1] = (found, left_loops or right_loops)
+            else:
+                moves, loops = values[-1]
+                values[-1] = ([move for move in moves if move[0] not in arg], loops)
+        moves = values[0][0]
+        if repeats:
+            moves = {(move[0], move[2]): move for move in moves}.values()
+        row = []
+        new = []
+        for name, action, delta, changes in moves:
+            target = key + delta
+            target_index = index.get(target)
+            if target_index is None:
+                filled = pieces.copy()
+                for i, y in changes:
+                    filled[slots[i]] = texts[i][y]
+                new.append((name, "".join(filled), action, target, changes))
+            else:
+                row.append((name, target_index, action))
+        if new:
+            new.sort(key=_by_name_and_label)
+            for name, label, action, target, changes in new:
+                target_index = index.get(target)  # two new moves may share a target
+                if target_index is None:
+                    if len(index) >= max_states:
+                        raise StateLimitExceeded(max_states, source + 1, len(index) - source - 1)
+                    target_index = index[target] = len(index)
+                    labels.append(label)
+                    successor = state.copy()
+                    filled = pieces.copy()
+                    for i, y in changes:
+                        successor[i] = y
+                        filled[slots[i]] = texts[i][y]
+                    pending.append((target, successor, filled))
+                row.append((name, target_index, action))
+        row.sort()
         transitions += [_transition((source, action, t)) for _, t, action in row]
     return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))
 

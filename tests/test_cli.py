@@ -76,6 +76,14 @@ class TestLts:
             assert captured.out == ""
             assert captured.err == "error: expression nested too deeply\n"
 
+    def test_wide_chain_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("||".join(f"a{i}" for i in range(3000)) + "\n")
+        assert run(["lts", "--max-states", "10", "--expr-file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state limit of 10 exceeded: 1 expanded, 9 queued\n"
+
     def test_parse_error_exit_code(self, capsys):
         assert run(["lts", "-e", "a +"]) == 2
 

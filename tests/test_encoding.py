@@ -181,6 +181,17 @@ class TestVerify:
             result = verify_encoding(fa)
             assert result.isomorphic
 
+    def test_sixty_states_four_actions(self):
+        fa = _connected_fa(random.Random(60), 60, 4)
+        result = verify_encoding(fa)
+        assert result.isomorphic
+        assert sorted(result.mapping) == list(range(60))
+        derived = derive_automaton(*_derivation_inputs(fa))
+        assert is_isomorphism(fa, derived, result.mapping)
+        # Labels of the 60-leaf spine read back to themselves.
+        for label in derived.labels:
+            assert render_expression(parse_expression(label)) == label
+
     def test_action_preservation_and_termination_alignment(self):
         fa = four_state_fa()
         enc = encode_fa(fa)
@@ -190,6 +201,23 @@ class TestVerify:
         mapping = verify_encoding(fa).mapping
         for s in range(fa.n_states):
             assert (mapping[s] in derived.terminating) == (s in fa.terminating)
+
+
+def _connected_fa(rng, n, m):
+    """``n`` states all reachable from state 0, ``2n - 1`` edges before
+    deduplication, and every one of the ``m`` actions used."""
+    actions = [Action(f"a{k}") for k in range(m)]
+    edges = [(rng.randrange(t), t) for t in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    return Automaton(
+        labels=(None,) * n,
+        initial=0,
+        transitions=tuple(
+            Transition(source, actions[i] if i < m else rng.choice(actions), target)
+            for i, (source, target) in enumerate(edges)
+        ),
+        terminating=frozenset(s for s in range(n) if rng.random() < 0.4),
+    )
 
 
 def _derivation_inputs(fa):

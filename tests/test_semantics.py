@@ -32,6 +32,7 @@ from starpar import (
     check_bpa_property,
     check_pa_property,
     derive_automaton,
+    encode_fa,
     generate_random_expression,
     isomorphic,
     minimize,
@@ -43,8 +44,8 @@ from starpar import (
 )
 from tests.samples import TWO_EXIT_LOOP_EXPR, INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, communicating_gamma
 from starpar import analysis
-from starpar.semantics import _Rules
-from tests.oracles import acp_step, interleaving_step, naive_derive, rule_derivable
+from starpar.semantics import _Rules, _state_bounds
+from tests.oracles import acp_step, interleaving_step, naive_derive, random_connected_fa, rule_derivable
 
 a, b, c = act("a"), act("b"), act("c")
 
@@ -439,6 +440,115 @@ class TestDeriveOracle:
             e = parse_expression(text)
             assert derive_automaton(e, gamma) == naive_derive(e, gamma)
 
+    # A ``||`` or ``encap`` root is derived as the product of the leaves of
+    # its spine; the shapes below vary the spine, the leaves and gamma.
+
+    @staticmethod
+    def _check(e, gamma=EMPTY_COMM):
+        auto = derive_automaton(e, gamma)
+        expected = naive_derive(e, gamma)
+        assert auto == expected
+        assert auto.transitions == expected.transitions
+        assert automaton_to_json(auto) == automaton_to_json(expected)
+        return auto
+
+    HANDSHAKE = CommFn([(Action("b"), Action("f"), Action("s"))])
+
+    @pytest.mark.parametrize("gamma", [EMPTY_COMM, HANDSHAKE], ids=["none", "b_f_s"])
+    def test_right_nested_and_balanced_trees(self, gamma):
+        p, q, r, s = (parse_expression(t) for t in ("(a.b+c)*.d", "(e.f)*.g", "(h+i)*", "b.f+c"))
+        trees = [
+            Par(p, Par(q, Par(r, s))),
+            Par(Par(p, q), Par(r, s)),
+            Par(p, Par(Par(q, r), s)),
+            Par(Par(p, Par(q, r)), s),
+        ]
+        for e in trees:
+            auto = self._check(e, gamma)
+            assert auto.n_states == 4 * 4 * 2 * 3
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "encap{b,f}((a.b+c)*.d || (e.f)*.g || b.f)",  # at the root
+            "(a.b+c)*.d || encap{c,f}((e.f)*.g || (h+i)*) || b.f",  # mid-spine
+            "encap{a}((a.b+c)*.d) || (e.f)*.g || encap{}(b+f)",  # directly around leaves
+            "encap{s}(encap{b}((a.b+c)*.d || encap{f}((e.f)*.g)) || (b+f)*)",  # at three levels
+            "encap{b}(encap{f}(encap{s}((a.b+c)*.d || (e.f)*.g)))",  # nested at the root
+            "encap{a,b,c,d}(a.b.c.d)",  # one leaf
+        ],
+    )
+    def test_encap_at_several_levels(self, text):
+        e = parse_expression(text)
+        self._check(e, self.HANDSHAKE)
+        self._check(e)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(a || b).c || (c.d || e)*",
+            "(a || b)* || encap{a}((a.b || b)*)",
+            "(a.(b || c)+d)* || a.b",
+        ],
+    )
+    def test_leaf_holding_a_parallel_composition(self, text):
+        gamma = CommFn([(Action("a"), Action("b"), Action("c"))])
+        e = parse_expression(text)
+        self._check(e, gamma)
+        self._check(e)
+
+    def test_a_communication_result_communicates_again(self):
+        # a || b communicate to c one level down, and c with d to e above.
+        gamma = CommFn([
+            (Action("a"), Action("b"), Action("c")),
+            (Action("c"), Action("d"), Action("e")),
+        ])
+        for text in ("a* || b* || d*", "d* || (a* || b*)", "encap{a,b,c,d}(a.a || b.b || d.d)"):
+            auto = self._check(parse_expression(text), gamma)
+            assert "e" in {t.action.name for t in auto.transitions}
+
+    def test_leaves_looping_on_one_action_name(self):
+        # In (1.a*) || (1.a*) both lifts of a lead back to the state itself.
+        for text in ("a* || a*", "(a.b)* || (a+c)* || a*", "encap{b}((a+b)* || a*)"):
+            e = parse_expression(text)
+            self._check(e)
+            self._check(e, CommFn([(Action("a"), Action("a"), Action("d"))]))
+
+    def test_encodings_of_seeded_automata(self):
+        for seed in range(5):
+            fa = random_connected_fa(random.Random(seed), 6, 3)
+            enc = encode_fa(fa)
+            auto = self._check(enc.expression, enc.gamma)
+            assert auto.n_states == fa.n_states
+
+    # The values derive gave before spines were derived as products.
+    @pytest.mark.parametrize(
+        "limit, expanded, queued", [(1, 1, 0), (17, 3, 14), (100, 44, 56)]
+    )
+    def test_state_limit_on_a_four_way_chain(self, limit, expanded, queued):
+        e = parse_expression("(a.b+c)*.d || (e.f)*.g || (h+i)*.j || (k.l+m)*")
+        with pytest.raises(StateLimitExceeded) as info:
+            derive_automaton(e, self.HANDSHAKE, max_states=limit)
+        assert (info.value.limit, info.value.expanded, info.value.queued) == (limit, expanded, queued)
+
+    def test_state_limit_on_an_encoding(self):
+        enc = encode_fa(random_connected_fa(random.Random(0), 12, 3))
+        with pytest.raises(StateLimitExceeded) as info:
+            derive_automaton(enc.expression, enc.gamma, max_states=5)
+        assert (info.value.limit, info.value.expanded, info.value.queued) == (5, 3, 2)
+
+
+class TestStateBound:
+    """The syntactic bound that sizes a leaf's digit in the key of a product
+    state is never below the number of states the leaf reaches."""
+
+    @pytest.mark.parametrize("gamma", [EMPTY_COMM, *GAMMAS], ids=["none", *GAMMA_IDS])
+    def test_random_terms(self, gamma):
+        terms = random_acp_terms(150, 4, 5_100)
+        terms += [generate_random_expression(Theory.BPA, 6, 5_400 + i) for i in range(150)]
+        for e in terms:
+            assert derive_automaton(e, gamma).n_states <= _state_bounds([e])[0]
+
 
 class TestAdjacencyCache:
     """The rows every graph walk reads are built once per automaton and kept
@@ -639,13 +749,28 @@ class TestCanonicalNodes:
 
 
 class TestDeepNesting:
-    """Derivation recurses once per nesting level, as deep as it ever did."""
+    """Derivation recurses once per nesting level below the root's ``||``
+    and ``encap`` spine, as deep as it ever did; the spine itself is walked
+    without recursion."""
 
     @pytest.mark.parametrize("op", [".", "||"])
     def test_long_chain_reaches_the_state_limit(self, op):
         e = parse_expression(op.join(f"a{i}" for i in range(450)))
         with pytest.raises(StateLimitExceeded):
             derive_automaton(e, max_states=10)
+
+    @pytest.mark.parametrize("nesting", ["left", "right"])
+    def test_wide_chain_reaches_the_state_limit(self, nesting):
+        # A || spine is flattened with an explicit stack, so its width is
+        # bounded by the state limit only.
+        leaves = [act(f"a{i}") for i in range(3000)]
+        if nesting == "left":
+            e = functools.reduce(Par, leaves)
+        else:
+            e = functools.reduce(lambda right, left: Par(left, right), reversed(leaves))
+        with pytest.raises(StateLimitExceeded) as info:
+            derive_automaton(e, max_states=10)
+        assert (info.value.limit, info.value.expanded, info.value.queued) == (10, 1, 9)
 
     def test_long_alternative_derives(self):
         e = parse_expression("+".join(f"a{i}" for i in range(450)))
