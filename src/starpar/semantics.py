@@ -10,7 +10,8 @@ A root that is ``||`` or ``encap`` is derived as the product of the leaves of
 its spine, the maximal ``||``/``encap`` part of the tree above them: no rule
 removes a spine node, so a state is one state per leaf, keyed by one int, and
 its label is filled into the spine's text.  Every other root is derived state
-by state through the rules.
+by state through the rules.  Both derivations hand each state's moves to one
+numbering step, ``_number``, which orders, numbers and limits the new states.
 """
 
 from __future__ import annotations
@@ -102,12 +103,11 @@ class _Rules:
     computes it later.  A node's moves are a tuple of (action, canonical
     target) pairs, no two with the same action name and target.  Each
     child's moves already are, so only moves from different sources can
-    collide, and only three rules deduplicate: ``+`` and ``.`` when its left
-    side terminates, whose two sides may offer the same move, and ``||``,
-    but only when a communication fired or each side has a move back to
-    itself.  Without communication a left lift ``(a, l' || R)`` equals a
-    right lift ``(a, L || r')`` only when ``l'`` is ``L`` and ``r'`` is
-    ``R``, and the lifts of one side differ in their targets.  The step
+    collide, and only three rules deduplicate, each always: ``+`` and ``.``
+    when its left side terminates, whose two sides may offer the same move,
+    and ``||``, where a left lift ``(a, l' || R)`` equals a right lift
+    ``(a, L || r')`` when each side has an ``a`` move back to itself and a
+    communication may equal a lift or another communication.  The step
     memo only ever sees the one communication function it was built with.
     Only ``step`` recurses, one frame per nesting level.
     """
@@ -205,10 +205,7 @@ class _Rules:
             found = []
             right_id = id(right)
             right_ends = terminating[right_id]
-            left_loops = right_loops = False
             for a, left2 in lsteps:
-                if left2 is left:
-                    left_loops = True
                 key = (Par, id(left2), right_id)
                 node = table.get(key)
                 if node is None:
@@ -218,15 +215,12 @@ class _Rules:
             left_id = id(left)
             left_ends = terminating[left_id]
             for b, right2 in rsteps:
-                if right2 is right:
-                    right_loops = True
                 key = (Par, left_id, id(right2))
                 node = table.get(key)
                 if node is None:
                     node = table[key] = Par(left, right2)
                     terminating[id(node)] = left_ends and terminating[id(right2)]
                 found.append((b, node))
-            lifts = len(found)
             all_partners = self._partners
             if all_partners:
                 for a, left2 in lsteps:
@@ -245,10 +239,7 @@ class _Rules:
                                 terminating[id(left2)] and terminating[id(right2)]
                             )
                         found.append((c, node))
-            if len(found) > lifts or (left_loops and right_loops):
-                moves = _distinct(found)
-            else:
-                moves = tuple(found)
+            moves = _distinct(found)
         elif kind is Seq:
             left = e.left
             right = e.right
@@ -531,7 +522,7 @@ def derive_automaton(
     nothing, so it goes straight into the row, and only the moves to new
     states are rendered, sorted and numbered.  Each state's row is then
     sorted by (action name, target index).  A state's moves are distinct
-    and states leave the queue in index order, so the transitions come out
+    and states are expanded in index order, so the transitions come out
     deduplicated and sorted.  Raises StateLimitExceeded once more than
     ``max_states`` distinct expressions have been reached.  The canonical
     node table with its termination flags, and the step and label memos
@@ -541,8 +532,10 @@ def derive_automaton(
     tuples of leaf states of its spine, keyed by one mixed-radix int, their
     moves come from one pass over the spine and their labels from the
     spine's text with each leaf's text in its slot.  Every other root takes
-    the loop below, which asks ``_Rules.step`` for each state's moves.  Both
-    number, label and limit the states alike.
+    the loop below, which asks ``_Rules.step`` for each state's moves and
+    keys a state by its node's id.  Both loops split each state's moves into
+    known and new targets and hand them to ``_number``, the one step that
+    numbers, labels, limits and orders.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
@@ -553,12 +546,10 @@ def derive_automaton(
     rendered: dict[int, str] = {}
     index: dict[int, int] = {id(e): 0}
     labels: list[str] = [render_memoised(e, rendered)]
-    queue: deque[Expression] = deque([e])
+    pending: list[Expression] = [e]  # each state, in index order
     transitions: list[Transition] = []
     terminating: set[int] = set()
-    while queue:
-        current = queue.popleft()
-        source = index[id(current)]
+    for source, current in enumerate(pending):  # the loop sees states appended below
         if rules.terminating[id(current)]:
             terminating.add(source)
         row = []
@@ -566,23 +557,46 @@ def derive_automaton(
         for action, target in rules.step(current):
             target_index = index.get(id(target))
             if target_index is None:
-                new.append((action.name, render_memoised(target, rendered), action, target))
+                label = render_memoised(target, rendered)
+                new.append((action.name, label, action, id(target), target))
             else:
                 row.append((action.name, target_index, action))
-        if new:
-            new.sort(key=_by_name_and_label)
-            for name, label, action, target in new:
-                target_index = index.get(id(target))  # two new moves may share a target
-                if target_index is None:
-                    if len(index) >= max_states:
-                        raise StateLimitExceeded(max_states, len(index) - len(queue), len(queue))
-                    target_index = index[id(target)] = len(index)
-                    labels.append(label)
-                    queue.append(target)
-                row.append((name, target_index, action))
-        row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
-        transitions += [_transition((source, action, t)) for _, t, action in row]
+        transitions += _number(source, row, new, index, labels, pending, max_states)
     return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))
+
+
+def _number(
+    source: int,
+    row: list[tuple[str, int, Action]],
+    new: list[tuple[str, str, Action, int, object]],
+    index: dict[int, int],
+    labels: list[str],
+    pending: list,
+    max_states: int,
+) -> list[Transition]:
+    """The numbering step that both derive loops share: the transitions of
+    state ``source``, whose moves to states already numbered are ``row``, as
+    (name, target index, action), and whose others are ``new``, as (name,
+    label, action, target key, pending entry).  The new moves are numbered
+    in (name, label) order: a target not yet in ``index`` gets the next
+    index, its label goes to ``labels`` and its entry to ``pending``, where
+    states wait in index order.  Two new moves may share a target, so each
+    looks ``index`` up again.  Raises StateLimitExceeded before a state past
+    ``max_states`` is numbered: ``source + 1`` states have been expanded and
+    the rest are still pending."""
+    if new:
+        new.sort(key=_by_name_and_label)
+        for name, label, action, key, entry in new:
+            target = index.get(key)
+            if target is None:
+                if len(index) >= max_states:
+                    raise StateLimitExceeded(max_states, source + 1, len(index) - source - 1)
+                target = index[key] = len(index)
+                labels.append(label)
+                pending.append(entry)
+            row.append((name, target, action))
+    row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
+    return [_transition((source, action, t)) for _, t, action in row]
 
 
 _LEAF, _PAR, _ENCAP = 0, 1, 2
@@ -686,12 +700,14 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     by concatenating its operands' moves and pairs the ones ``_partners``
     matches, adding their deltas and joining their changes; an ``encap``
     drops moves by name.  No target is built below the root: a move's
-    target key is the state's key plus its delta.  As in ``_Rules.step``,
-    moves can repeat only once a communication fired or both operands of a
-    ``||`` may stay put, and are then deduplicated.  A new state's label is
-    its source's label pieces with the moved leaves' texts swapped in.
-    Numbering, rows and StateLimitExceeded are those of the loop in
-    ``derive_automaton``."""
+    target key is the state's key plus its delta.  A leaf's moves are
+    distinct, and a left and a right lift of one ``||`` change disjoint
+    digits, so their deltas are equal only when both are 0.  Moves can
+    therefore repeat only once both operands of a ``||`` may stay put or a
+    communication fired, and the pass deduplicates only then.  A move to a
+    new state gets its leaf numbers and label pieces, its source's with the
+    moved leaves' swapped in, and ``_number`` numbers it as it does for the
+    loop in ``derive_automaton``."""
     rendered: dict[int, str] = {}
     ops, leaves, minimum, parts, slots = _flatten_spine(root, rendered)
     bounds = _state_bounds(leaves[:-1])  # the last leaf's digit has nothing above it
@@ -785,30 +801,15 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
             target = key + delta
             target_index = index.get(target)
             if target_index is None:
+                successor = state.copy()
                 filled = pieces.copy()
                 for i, y in changes:
+                    successor[i] = y
                     filled[slots[i]] = texts[i][y]
-                new.append((name, "".join(filled), action, target, changes))
+                new.append((name, "".join(filled), action, target, (target, successor, filled)))
             else:
                 row.append((name, target_index, action))
-        if new:
-            new.sort(key=_by_name_and_label)
-            for name, label, action, target, changes in new:
-                target_index = index.get(target)  # two new moves may share a target
-                if target_index is None:
-                    if len(index) >= max_states:
-                        raise StateLimitExceeded(max_states, source + 1, len(index) - source - 1)
-                    target_index = index[target] = len(index)
-                    labels.append(label)
-                    successor = state.copy()
-                    filled = pieces.copy()
-                    for i, y in changes:
-                        successor[i] = y
-                        filled[slots[i]] = texts[i][y]
-                    pending.append((target, successor, filled))
-                row.append((name, target_index, action))
-        row.sort()
-        transitions += [_transition((source, action, t)) for _, t, action in row]
+        transitions += _number(source, row, new, index, labels, pending, max_states)
     return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))
 
 
@@ -880,11 +881,8 @@ def automaton_from_dict(obj: object) -> Automaton:
         raise AutomatonFormatError("'initial' must be an integer state id")
     if not isinstance(raw_transitions, list):
         raise AutomatonFormatError("'transitions' must be an array")
-    n = len(labels)
-    transitions = _read_transitions(raw_transitions, n)
-    if transitions is None:
-        transitions = _scan_transitions(raw_transitions)
-    elif 0 <= initial < n:
+    transitions, ordered = _scan_transitions(raw_transitions, len(labels))
+    if ordered and 0 <= initial < len(labels):
         return _canonical_automaton(tuple(labels), initial, transitions, frozenset(terminating))
     try:  # unsorted, repeated or out of range: the public constructor normalises or rejects
         return Automaton(
@@ -897,55 +895,16 @@ def automaton_from_dict(obj: object) -> Automaton:
         raise AutomatonFormatError(str(exc)) from exc
 
 
-_source_of = operator.itemgetter("from")
-_name_of = operator.itemgetter("action")
-_target_of = operator.itemgetter("to")
-
-
-def _read_transitions(raw: list, n: int) -> tuple[Transition, ...] | None:
-    """The transitions of ``raw``, read in bulk, if every entry is a plain
-    ``dict`` with an ``int`` source and target and a ``str`` action, every id
-    is in ``0 .. n - 1`` and the entries are strictly increasing by (source,
-    action name, target), as the writer orders them; ``None`` otherwise.
-    Raises AutomatonFormatError for the first invalid action name: once every
-    entry is well formed, its first entry is the first bad one."""
-    if not raw:
-        return ()
-    if set(map(type, raw)) != {dict}:
-        return None
-    try:
-        sources = list(map(_source_of, raw))
-        names = list(map(_name_of, raw))
-        targets = list(map(_target_of, raw))
-    except KeyError:
-        return None
-    if (
-        set(map(type, sources)) != {int}
-        or set(map(type, targets)) != {int}
-        or set(map(type, names)) != {str}
-    ):
-        return None
-    actions = {name: _action(name) for name in dict.fromkeys(names)}
-    # zip hands each key tuple to ``lt`` and reuses it: no key list is built
-    increasing = all(map(
-        operator.lt,
-        zip(sources, names, targets),
-        zip(sources[1:], names[1:], targets[1:]),
-    ))
-    # Increasing keys start and end with the least and the greatest source.
-    if not (increasing and 0 <= sources[0] and sources[-1] < n):
-        return None
-    if not 0 <= min(targets) <= max(targets) < n:
-        return None
-    return tuple(map(_transition, zip(sources, map(actions.__getitem__, names), targets)))
-
-
-def _scan_transitions(raw: list) -> tuple[Transition, ...]:
-    """The transitions of ``raw`` entry by entry, in input order.  Raises
+def _scan_transitions(raw: list, n: int) -> tuple[tuple[Transition, ...], bool]:
+    """The transitions of ``raw`` entry by entry, in input order, and
+    whether they are in the writer's order: strictly increasing by (source,
+    action name, target), with every id in ``0 .. n - 1``.  Raises
     AutomatonFormatError at the first entry that is malformed or names an
     invalid action."""
     transitions = []
     actions: dict[str, Action] = {}  # one Action, and one name check, per distinct name
+    ordered = True
+    last = (0, "", -1)  # below every valid key, and above every key with a negative source
     for entry in raw:
         if not isinstance(entry, dict):
             raise AutomatonFormatError("each transition must be an object")
@@ -953,13 +912,18 @@ def _scan_transitions(raw: list) -> tuple[Transition, ...]:
             source, name, target = entry["from"], entry["action"], entry["to"]
         except KeyError as exc:
             raise AutomatonFormatError(f"transition missing key {exc.args[0]!r}") from exc
-        if not _is_state_id(source) or not _is_state_id(target) or not isinstance(name, str):
+        # _is_state_id inlined, as in __post_init__: its calls cost a tenth to a fifth of this loop
+        if type(source) is not int or type(target) is not int or not isinstance(name, str):
             raise AutomatonFormatError(f"malformed transition {entry!r}")
         action = actions.get(name)
         if action is None:
             action = actions[name] = _action(name)
         transitions.append(_transition((source, action, target)))
-    return tuple(transitions)
+        if ordered:
+            key = (source, name, target)
+            ordered = last < key and source < n and 0 <= target < n
+            last = key
+    return tuple(transitions), ordered
 
 
 def _action(name: str) -> Action:

@@ -123,6 +123,10 @@ CASES = {
         automaton(transitions=[OK, edge(2, "a", 0)]),
         "transition Transition(source=2, action=Action(name='a'), target=0) out of range",
     ),
+    "source negative": (
+        automaton(transitions=[edge(-1, "a", 0), OK]),
+        "transition Transition(source=-1, action=Action(name='a'), target=0) out of range",
+    ),
     "target negative": (
         automaton(transitions=[edge(0, "b", -1), OK]),
         "transition Transition(source=0, action=Action(name='b'), target=-1) out of range",

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import functools
@@ -6,6 +7,7 @@ import json
 import pickle
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +45,7 @@ from starpar import (
     terminates,
 )
 from tests.samples import TWO_EXIT_LOOP_EXPR, INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, communicating_gamma
-from starpar import analysis
+from starpar import analysis, semantics
 from starpar.semantics import _Rules, _state_bounds
 from tests.oracles import acp_step, interleaving_step, naive_derive, random_connected_fa, rule_derivable
 
@@ -403,6 +405,19 @@ class TestDerive:
         exc = info.value
         assert (exc.limit, exc.expanded, exc.queued) == (limit, expanded, queued)
         assert str(exc) == f"state limit of {limit} exceeded: {expanded} expanded, {queued} queued"
+
+    def test_state_limit_raised_in_one_place(self):
+        # Both derive loops number their states through one shared step, so
+        # the limit and its expanded/queued counts are computed in one place.
+        tree = ast.parse(Path(semantics.__file__).read_text(encoding="utf-8"))
+        raised = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "StateLimitExceeded"
+        ]
+        assert len(raised) == 1, raised
 
     def test_gamma_irrelevant_for_sequential_expressions(self):
         gamma = communicating_gamma()
