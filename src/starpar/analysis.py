@@ -185,45 +185,27 @@ def oc_measure(e: Expression) -> int:
     parallel composition measures 0, an alternative measures one more than its
     larger side, and a sequential composition measures 0 when its right side
     is a star and one more than the right side's measure otherwise.  Defined
-    only on encapsulation-free expressions.
+    only on encapsulation-free expressions: an ``encap`` raises
+    UnsupportedExpression, and a node that is no expression TypeError,
+    wherever it sits in the tree.
     """
-    for node in subterms(e):
-        if isinstance(node, Encap):
-            raise UnsupportedExpression("measure is undefined on encapsulation")
-
-    # Post-order over the nodes the measure reads: the right side of a
-    # ``.`` whose right side is not a star, and both sides of a ``+``.  ``e``
-    # keeps every node alive, so ids are not reused while this runs.
+    # Reversed pre-order puts every node after its descendants.  ``e`` keeps
+    # every node alive, so ids are not reused while this runs.
     measure: dict[int, int] = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if isinstance(node, (Deadlock, Empty, Par)):
-            value = 0
-        elif isinstance(node, (Act, Star)):
+    for node in reversed(list(subterms(e))):
+        kind = type(node)
+        if kind is Act or kind is Star:
             value = 1
-        elif isinstance(node, Seq):
-            if isinstance(node.right, Star):
-                value = 0
-            else:
-                right = measure.get(id(node.right))
-                if right is None:
-                    stack.append(node.right)
-                    continue
-                value = right + 1
-        elif isinstance(node, Alt):
-            left = measure.get(id(node.left))
-            right = measure.get(id(node.right))
-            if left is None or right is None:
-                if right is None:
-                    stack.append(node.right)
-                if left is None:
-                    stack.append(node.left)
-                continue
-            value = max(left, right) + 1
+        elif kind is Seq:
+            value = 0 if type(node.right) is Star else measure[id(node.right)] + 1
+        elif kind is Alt:
+            value = max(measure[id(node.left)], measure[id(node.right)]) + 1
+        elif kind is Par or kind is Empty or kind is Deadlock:
+            value = 0
+        elif kind is Encap:
+            raise UnsupportedExpression("measure is undefined on encapsulation")
         else:
             raise TypeError(f"not an expression: {node!r}")
-        stack.pop()
         measure[id(node)] = value
     return measure[id(e)]
 

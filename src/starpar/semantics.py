@@ -41,7 +41,8 @@ from .syntax import (
     Par,
     Seq,
     Star,
-    _PREC_PAR,
+    _INFIX,
+    _PREC,
     _wrap,
     parse_expression,
     render_expression,  # noqa: F401 - perfbench/tracing.py wraps the name here
@@ -88,13 +89,12 @@ class _Rules:
     spine of a derivation's root, which ``derive_automaton`` treats as a
     product (see ``_derive_product``): the states of any other root, the
     states of a spine's leaves, ``||`` below ``.``, ``+`` or ``*`` among
-    them, and the argument of the public ``step``.  ``canonical`` and ``step`` dispatch on ``type(node)``, most
-    frequent kind first, and the lifting loops of ``.``, ``*``, ``||`` and
-    ``encap`` look the table up inline, with no call.  ``||`` reads a
-    child's memo entry before it recurses into the child.  The communication
-    function is indexed by action name, each name mapping its partners'
-    names to the result, so a left move whose name has no partner skips the
-    right side's moves.
+    them, and the argument of the public ``step``.  ``canonical`` and
+    ``step`` dispatch on ``type(node)``, most frequent kind first, and the
+    lifting loops of ``.``, ``*``, ``||`` and ``encap`` look the table up
+    inline, with no call.  The communication function is indexed by action
+    name, each name mapping its partners' names to the result, so a left
+    move whose name has no partner skips the right side's moves.
 
     Invariant: the table holds every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
@@ -196,12 +196,8 @@ class _Rules:
         if kind is Par:
             left = e.left
             right = e.right
-            lsteps = steps.get(id(left))
-            if lsteps is None:
-                lsteps = self.step(left)
-            rsteps = steps.get(id(right))
-            if rsteps is None:
-                rsteps = self.step(right)
+            lsteps = self.step(left)
+            rsteps = self.step(right)
             found = []
             right_id = id(right)
             right_ends = terminating[right_id]
@@ -630,10 +626,9 @@ def _flatten_spine(
         if kind is int:
             ops.append(item)
         elif kind is Par:
-            if least > _PREC_PAR:
-                stack += [")", (_PAR, None), (node.right, _PREC_PAR + 1), "||", (node.left, _PREC_PAR), "("]
-            else:
-                stack += [(_PAR, None), (node.right, _PREC_PAR + 1), "||", (node.left, _PREC_PAR)]
+            prec = _PREC[Par]
+            operands = [(_PAR, None), (node.right, prec + 1), _INFIX[Par], (node.left, prec)]
+            stack += [")", *operands, "("] if least > prec else operands
         elif kind is Encap:
             names = frozenset(a.name for a in node.blocked)
             stack += [")", (_ENCAP, names), (node.body, 0), f"encap{{{','.join(sorted(names))}}}("]
@@ -646,43 +641,30 @@ def _flatten_spine(
     return ops, leaves, minimum, parts, slots
 
 
-def _state_bounds(roots: list[Expression]) -> list[int]:
-    """An upper bound on the number of states reachable from each of
-    ``roots``: 2 for an action, the sum of the operands' bounds for ``.`` and
-    ``+``, the body's plus one for ``*``, the product for ``||``, the body's
-    for ``encap`` and 1 for ``0`` and ``1``.  A post-order walk over the
-    distinct nodes, without recursion."""
+def _state_bounds(rules: _Rules) -> dict[int, int]:
+    """An upper bound on the number of states reachable from each node of
+    ``rules``' table, keyed by node id: 2 for an action, the sum of the
+    operands' bounds for ``.`` and ``+``, the body's plus one for ``*``, the
+    product for ``||``, the body's for ``encap`` and 1 for ``0`` and ``1``.
+    A node joins the table after its children, so one pass in table order
+    finds each child's bound already set."""
     bound: dict[int, int] = {}
-    stack = list(roots)
-    while stack:
-        node = stack[-1]
-        if id(node) in bound:
-            stack.pop()
-            continue
+    for node in rules._table.values():
         kind = type(node)
         if kind is Act:
             value = 2
-        elif kind is Star or kind is Encap:
-            body = bound.get(id(node.body))
-            if body is None:
-                stack.append(node.body)
-                continue
-            value = body + 1 if kind is Star else body
-        elif kind is Seq or kind is Alt or kind is Par:
-            left = bound.get(id(node.left))
-            right = bound.get(id(node.right))
-            if left is None or right is None:
-                if left is None:
-                    stack.append(node.left)
-                if right is None:
-                    stack.append(node.right)
-                continue
-            value = left * right if kind is Par else left + right
+        elif kind is Seq or kind is Alt:
+            value = bound[id(node.left)] + bound[id(node.right)]
+        elif kind is Par:
+            value = bound[id(node.left)] * bound[id(node.right)]
+        elif kind is Star:
+            value = bound[id(node.body)] + 1
+        elif kind is Encap:
+            value = bound[id(node.body)]
         else:  # 0 and 1
             value = 1
-        stack.pop()
         bound[id(node)] = value
-    return [bound[id(node)] for node in roots]
+    return bound
 
 
 def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automaton:
@@ -693,8 +675,10 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     root's spine over one state of each leaf.  A leaf's states are numbered
     0, 1, ... as they are reached, and a state is the list of its leaves'
     numbers, keyed by one int in mixed radix: leaf ``i``'s digit has the
-    stride of the product of the state bounds of the leaves before it.  A
-    leaf's moves come from ``_Rules.step``, memoised per leaf state as
+    stride of the product of the state bounds of the leaves before it,
+    which ``_state_bounds`` reads off the node table at set-up, while it
+    holds only the canonical root's nodes and before any step.  A leaf's
+    moves come from ``_Rules.step``, memoised per leaf state as
     (name, action, key delta, ((leaf, new number),)) tuples.  A state's
     moves come from one bottom-up pass over the spine's ops: a ``||`` lifts
     by concatenating its operands' moves and pairs the ones ``_partners``
@@ -710,7 +694,8 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     loop in ``derive_automaton``."""
     rendered: dict[int, str] = {}
     ops, leaves, minimum, parts, slots = _flatten_spine(root, rendered)
-    bounds = _state_bounds(leaves[:-1])  # the last leaf's digit has nothing above it
+    bound = _state_bounds(rules)
+    bounds = [bound[id(leaf)] for leaf in leaves[:-1]]  # the last leaf's digit has nothing above it
     strides = list(accumulate(bounds, operator.mul, initial=1))
     partners = rules._partners
     flags = rules.terminating

@@ -166,6 +166,13 @@ _SIMPLE_TOKENS = {
 }
 
 
+# Operator precedence, loosest to tightest, read by the parser and the renderer.
+_PREC = {Alt: 1, Par: 2, Seq: 3, Star: 4}
+_PREC_ATOM = 5
+_INFIX = {Alt: "+", Par: "||", Seq: "."}
+_BINARY = {"PLUS": Alt, "PAR": Par, "DOT": Seq}
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i, n = 0, len(text)
@@ -196,7 +203,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent over the operator levels ``+`` < ``||`` < ``.`` < ``*``."""
+    """Precedence climbing over ``_PREC``: one loop per operand, two frames
+    per level of parentheses."""
 
     def __init__(self, text: str):
         self.text = text
@@ -228,33 +236,20 @@ class _Parser:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return e
 
-    def _alternative(self) -> Expression:
-        e = self._parallel()
-        while self._peek() == "PLUS":
-            self._next()
-            e = Alt(e, self._parallel())
-        return e
-
-    def _parallel(self) -> Expression:
-        e = self._sequence()
-        while self._peek() == "PAR":
-            self._next()
-            e = Par(e, self._sequence())
-        return e
-
-    def _sequence(self) -> Expression:
-        e = self._postfix()
-        while self._peek() == "DOT":
-            self._next()
-            e = Seq(e, self._postfix())
-        return e
-
-    def _postfix(self) -> Expression:
+    def _alternative(self, least: int = _PREC[Alt]) -> Expression:
+        """An atom, its postfix stars, then each infix operator that binds at
+        least as tightly as ``least``, left associative: its right operand
+        takes only operators that bind tighter."""
         e = self._atom()
         while self._peek() == "STAR":
             self._next()
             e = Star(e)
-        return e
+        while True:
+            kind = _BINARY.get(self._peek())
+            if kind is None or _PREC[kind] < least:
+                return e
+            self._next()
+            e = kind(e, self._alternative(_PREC[kind] + 1))
 
     def _atom(self) -> Expression:
         kind, value, position = self._next()
@@ -298,16 +293,6 @@ def parse_expression(text: str) -> Expression:
 # Rendering with minimal parenthesisation
 # ---------------------------------------------------------------------------
 
-_PREC_ALT = 1
-_PREC_PAR = 2
-_PREC_SEQ = 3
-_PREC_STAR = 4
-_PREC_ATOM = 5
-
-
-_PREC = {Alt: _PREC_ALT, Par: _PREC_PAR, Seq: _PREC_SEQ, Star: _PREC_STAR}
-_INFIX = {Alt: "+", Par: "||", Seq: "."}
-
 
 def _wrap(text: str, node: Expression, minimum: int) -> str:
     return f"({text})" if _PREC.get(type(node), _PREC_ATOM) < minimum else text
@@ -338,7 +323,7 @@ def render_memoised(e: Expression, memo: dict[int, str]) -> str:
         precedence = _PREC[kind]
         text = _wrap(left, e.left, precedence) + _INFIX[kind] + _wrap(right, e.right, precedence + 1)
     elif kind is Star:
-        text = _wrap(render_memoised(e.body, memo), e.body, _PREC_STAR) + "*"
+        text = _wrap(render_memoised(e.body, memo), e.body, _PREC[Star]) + "*"
     elif kind is Act:
         text = e.action.name
     elif kind is Empty:

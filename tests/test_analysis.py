@@ -12,6 +12,7 @@ from starpar import (
     Encap,
     Theory,
     PropertyReport,
+    Seq,
     Transition,
     UnsupportedExpression,
     Witness,
@@ -326,6 +327,16 @@ class TestOcMeasure:
         # even where the recursion would not visit it
         with pytest.raises(UnsupportedExpression):
             oc_measure(parse_expression("encap{a}(a).b"))
+
+    def test_non_expression_rejected_wherever_it_sits(self):
+        with pytest.raises(TypeError):
+            oc_measure(Par(act("a"), "junk"))
+
+    def test_long_right_nested_chain(self):
+        e = act("a0")
+        for i in range(1, 5_000):
+            e = Seq(act(f"a{i}"), e)
+        assert oc_measure(e) == 5_000
 
 
 class TestExitEquivalence:

@@ -15,9 +15,6 @@ RECURSIVE = [
     "semantics._Rules.step",
     "syntax._Parser._alternative",
     "syntax._Parser._atom",
-    "syntax._Parser._parallel",
-    "syntax._Parser._postfix",
-    "syntax._Parser._sequence",
     "syntax.render_memoised",
 ]
 

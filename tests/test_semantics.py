@@ -561,8 +561,13 @@ class TestStateBound:
     def test_random_terms(self, gamma):
         terms = random_acp_terms(150, 4, 5_100)
         terms += [generate_random_expression(Theory.BPA, 6, 5_400 + i) for i in range(150)]
+        shared = [generate_random_expression(Theory.PA, 3, 5_600 + i) for i in range(60)]
+        terms += [Par(p, p) for p in shared]  # one object on both sides
+        terms += [Encap(BLOCKED_SETS[i % len(BLOCKED_SETS)], Par(p, p)) for i, p in enumerate(shared)]
         for e in terms:
-            assert derive_automaton(e, gamma).n_states <= _state_bounds([e])[0]
+            rules = _Rules(gamma)
+            root = rules.canonical(e)
+            assert derive_automaton(e, gamma).n_states <= _state_bounds(rules)[id(root)]
 
 
 class TestAdjacencyCache:

@@ -53,6 +53,9 @@ class TestParse:
     def test_precedence_star_seq_alt(self):
         assert parse_expression("a + b.c*") == Alt(a, Seq(b, Star(c)))
 
+    def test_300_levels_of_parentheses(self):
+        assert parse_expression("(" * 300 + "a.b" + ")" * 300) == Seq(a, b)
+
     def test_unbalanced_paren_reports_end_of_input(self):
         with pytest.raises(ParseError) as err:
             parse_expression("encap{c}(a||c")
