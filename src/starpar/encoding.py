@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .equivalence import IsoResult, isomorphic
-from .semantics import (
-    DEFAULT_MAX_STATES,
-    Automaton,
-    derive_automaton,
-    step,
-)
+from .semantics import DEFAULT_MAX_STATES, Automaton, _Rules, derive_automaton
 from .syntax import (
     DEADLOCK,
     EMPTY,
@@ -94,7 +89,9 @@ def encode_fa(fa: Automaton) -> EncodingResult:
     if unreachable:
         raise InvalidAutomaton(f"unreachable states {unreachable}; encode reachable automata only")
 
+    succ, _, _ = fa._rows
     alphabet = fa.actions()
+    index_of = {action.name: k for k, action in enumerate(alphabet)}
     action_index = {action: k for k, action in enumerate(alphabet)}
     m = len(alphabet)
 
@@ -112,9 +109,9 @@ def encode_fa(fa: Automaton) -> EncodingResult:
     )
 
     components = []
-    for i, moves in enumerate(fa.out()):
-        loops = sorted(action_index[action] for action, j in moves if j == i)
-        leaves = sorted((action_index[action], j) for action, j in moves if j != i)
+    for i, moves in enumerate(succ):
+        loops = sorted(index_of[name] for name, j in moves if j == i)
+        leaves = sorted((index_of[name], j) for name, j in moves if j != i)
         self_sum = _sum([Act(alphabet[k]) for k in loops])
         leave_sum = _sum([Act(leave[k, j]) for k, j in leaves])
         if i in fa.terminating:
@@ -130,11 +127,14 @@ def encode_fa(fa: Automaton) -> EncodingResult:
 
     # The primed component is the unique operational successor of the initial
     # state's component, which guarantees the cycle returns to it exactly.
-    initial_steps = step(components[fa.initial], EMPTY_COMM)
+    # The rules are asked directly: the public ``step`` returns a frozenset,
+    # which would hash the move's Action and the successor's whole tree.
+    rules = _Rules(EMPTY_COMM)
+    initial_steps = rules.step(rules.canonical(components[fa.initial]))
     if len(initial_steps) != 1:  # pragma: no cover - single enter action by construction
         raise RuntimeError("component must have a unique initial step")
     ((enter_action, primed),) = initial_steps
-    if enter_action != enter[fa.initial]:  # pragma: no cover
+    if enter_action.name != enter[fa.initial].name:  # pragma: no cover
         raise RuntimeError("component's initial step must be its enter action")
 
     chain = reduce(Par, [primed if i == fa.initial else components[i] for i in range(n)])

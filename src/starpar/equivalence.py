@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Hashable, Iterable
 
 from .semantics import Automaton, Transition, _canonical_automaton, _transition
@@ -23,15 +22,21 @@ def _coarsest_partition(
     pairs) until the number of blocks stops growing.  Block ids are assigned
     by first occurrence in state order, so the result depends only on the
     partition the seed induces.  Seeded by the termination flag this is
-    strong bisimilarity.  With ``counted`` the signature is the multiset of
-    those pairs plus ((action name,), predecessor block) pairs: colour
-    refinement over labelled out- and in-edges, finer than bisimilarity and
-    still preserved by every isomorphism.
+    strong bisimilarity.  With ``counted`` the signature is the current
+    block plus the multiset of (action name, successor block) pairs and the
+    multiset of (action name, predecessor block) pairs, each a sorted tuple:
+    colour refinement over labelled out- and in-edges, finer than
+    bisimilarity and still preserved by every isomorphism.  Its seed
+    colours are first renumbered by first occurrence, so that the sorts
+    compare names and ints only.
     """
     block = seed
+    if counted:
+        colours: dict[Hashable, int] = {}
+        block = [colours.setdefault(colour, len(colours)) for colour in seed]
     count = len(set(block))
     while True:
-        remap: dict[tuple[Hashable, frozenset], int] = {}
+        remap: dict[tuple, int] = {}
         new: list[int] = []
         for m in automata:
             succ, pred, _ = m._rows
@@ -39,11 +44,11 @@ def _coarsest_partition(
             for s, moves in enumerate(succ):
                 pairs = ((name, local[t]) for name, t in moves)
                 if counted:
-                    ins = (((name,), local[u]) for name, u in pred[s])
-                    step = frozenset(Counter(chain(pairs, ins)).items())
+                    ins = sorted([(name, local[u]) for name, u in pred[s]])
+                    key = (local[s], tuple(sorted(pairs)), tuple(ins))
                 else:
-                    step = frozenset(pairs)
-                new.append(remap.setdefault((local[s], step), len(remap)))
+                    key = (local[s], frozenset(pairs))
+                new.append(remap.setdefault(key, len(remap)))
         if len(remap) == count:
             return new
         block = new

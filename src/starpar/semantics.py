@@ -79,8 +79,8 @@ class _Rules:
     maps the input tree to nodes of the instance's table, bottom-up and
     without recursion, and every node the rules build goes through the same
     table.  A node is keyed by (node type, id of each canonical child);
-    ``Act`` nodes by action name, ``Encap`` nodes by (blocked set, id of the
-    body) and ``0``/``1`` by type.  Structurally equal terms are therefore
+    ``Act`` nodes by action name, ``Encap`` nodes by (blocked names, id of
+    the body) and ``0``/``1`` by type.  Structurally equal terms are therefore
     one object, and ``terminating`` and ``step``, the render memo and
     derive's state index are keyed by ``id()`` without hashing or comparing
     a tree.
@@ -94,7 +94,10 @@ class _Rules:
     lifting loops of ``.``, ``*``, ``||`` and ``encap`` look the table up
     inline, with no call.  The communication function is indexed by action
     name, each name mapping its partners' names to the result, so a left
-    move whose name has no partner skips the right side's moves.
+    move whose name has no partner skips the right side's moves.  An
+    ``encap`` tests its moves' names against its blocked names, which
+    ``_blocked`` keeps per ``id()`` of each blocked set the table holds, so
+    no rule hashes or compares an ``Action``.
 
     Invariant: the table holds every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
@@ -112,13 +115,14 @@ class _Rules:
     Only ``step`` recurses, one frame per nesting level.
     """
 
-    __slots__ = ("_partners", "_table", "terminating", "_steps")
+    __slots__ = ("_partners", "_table", "_blocked", "terminating", "_steps")
 
     def __init__(self, comm: CommFn):
         partners: dict[str, dict[str, Action]] = {}
         for (a, b), c in comm._table.items():
-            partners.setdefault(a.name, {})[b.name] = c
+            partners.setdefault(a, {})[b] = c
         self._partners = partners
+        self._blocked: dict[int, frozenset[str]] = {}
         self._table: dict[tuple, Expression] = {(Deadlock,): DEADLOCK, (Empty,): EMPTY}
         self.terminating: dict[int, bool] = {id(DEADLOCK): False, id(EMPTY): True}
         self._steps: dict[int, tuple[tuple[Action, Expression], ...]] = {}
@@ -161,7 +165,14 @@ class _Rules:
                 if body is None:
                     stack.append(node.body)
                     continue
-                key = (Star, id(body)) if kind is Star else (Encap, node.blocked, id(body))
+                if kind is Star:
+                    key = (Star, id(body))
+                else:
+                    blocked = node.blocked
+                    names = self._blocked.get(id(blocked))
+                    if names is None:
+                        names = self._blocked[id(blocked)] = frozenset(a.name for a in blocked)
+                    key = (Encap, names, id(body))
                 found = table.get(key)
                 if found is None:
                     if body is node.body:
@@ -271,10 +282,11 @@ class _Rules:
             moves = ((e.action, EMPTY),)
         elif kind is Encap:
             blocked = e.blocked
+            names = self._blocked[id(blocked)]  # named when its first node joined the table
             found = []
             for a, body2 in self.step(e.body):
-                if a not in blocked:
-                    key = (Encap, blocked, id(body2))
+                if a.name not in names:
+                    key = (Encap, names, id(body2))
                     node = table.get(key)
                     if node is None:
                         node = table[key] = Encap(blocked, body2)
@@ -417,7 +429,8 @@ class Automaton:
 
     def actions(self) -> tuple[Action, ...]:
         """Distinct transition labels, sorted by name."""
-        return tuple(sorted(self._rows[2].values()))
+        action_of = self._rows[2]
+        return tuple([action_of[name] for name in sorted(action_of)])
 
     def out(self) -> list[list[tuple[Action, int]]]:
         """Adjacency by source state, in stored transition order."""

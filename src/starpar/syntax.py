@@ -347,34 +347,50 @@ def render_memoised(e: Expression, memo: dict[int, str]) -> str:
 class CommFn:
     """Finite commutative partial communication function on actions.
 
-    Every rule is stored under both orderings of its action pair, so
-    commutativity holds by construction and a lookup is one tuple key;
-    associativity and handshaking are checked separately by
-    :func:`validate_comm_fn`.  Instances are immutable.
+    The table is keyed by action name, like the derive and refinement
+    kernels: a ``str`` caches its hash, while the dataclass ``Action``
+    hashes and compares in Python.  Every rule is stored under both
+    orderings of its name pair, so commutativity holds by construction and a
+    lookup is one tuple key; ``_table`` maps ``(name, name)`` to the result
+    ``Action`` and ``_arguments`` maps each argument name to its ``Action``.
+    ``Action`` objects appear only at the API boundary.  Associativity and
+    handshaking are checked separately by :func:`validate_comm_fn`.
+    Instances are immutable.
     """
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_arguments")
 
     def __init__(self, rules: Iterable[tuple[Action, Action, Action]] = ()):
-        table: dict[tuple[Action, Action], Action] = {}
+        table: dict[tuple[str, str], Action] = {}
+        arguments: dict[str, Action] = {}
         for a, b, result in rules:
-            previous = table.get((a, b))
-            if previous is not None and previous != result:
+            x, y = a.name, b.name
+            previous = table.get((x, y))
+            if previous is not None and previous.name != result.name:
                 raise CommFnError(
                     f"conflicting rules for {{{a}, {b}}}: {previous} vs {result}"
                 )
-            table[a, b] = table[b, a] = result
+            table[x, y] = table[y, x] = result
+            arguments[x] = a
+            arguments[y] = b
         self._table = table
+        self._arguments = arguments
 
     def lookup(self, a: Action, b: Action) -> Action | None:
-        return self._table.get((a, b))
+        return self._table.get((a.name, b.name))
+
+    def _named_pairs(self) -> list[tuple[str, str, Action]]:
+        """All rules as (name of a, name of b, result) with a <= b, sorted."""
+        table = self._table
+        return [(a, b, table[a, b]) for a, b in sorted(k for k in table if k[0] <= k[1])]
 
     def pairs(self) -> list[tuple[Action, Action, Action]]:
         """All rules as (a, b, result) with a <= b, sorted."""
-        return sorted((a, b, result) for (a, b), result in self._table.items() if a <= b)
+        arguments = self._arguments
+        return [(arguments[a], arguments[b], c) for a, b, c in self._named_pairs()]
 
     def arguments(self) -> frozenset[Action]:
-        return frozenset(a for a, _ in self._table)
+        return frozenset(self._arguments.values())
 
     def results(self) -> frozenset[Action]:
         return frozenset(self._table.values())
@@ -382,10 +398,13 @@ class CommFn:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommFn):
             return NotImplemented
-        return self._table == other._table
+        theirs = other._table
+        return len(self._table) == len(theirs) and all(
+            key in theirs and theirs[key].name == c.name for key, c in self._table.items()
+        )
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({a},{b})->{c}" for a, b, c in self.pairs())
+        body = ", ".join(f"({a},{b})->{c.name}" for a, b, c in self._named_pairs())
         return f"CommFn({body})"
 
 
@@ -426,27 +445,34 @@ def validate_comm_fn(g: CommFn) -> CommValidation:
     each partner z of gamma(x,y), the candidates are (x, y, z) and (z, x, y).
     The cost is the sum, over defined pairs, of the partners of their result:
     linear in the table size for a handshaking table, where results have no
-    partners.  The violations come out sorted, in the order a scan of every
+    partners.  The check runs on action names and maps the violations back
+    to the table's ``Action`` objects, sorted, in the order a scan of every
     triple of the closure would list them.
     """
-    partners: dict[Action, list[Action]] = {}
-    for a, b in g._table:
+    named = {key: c.name for key, c in g._table.items()}
+    partners: dict[str, list[str]] = {}
+    for a, b in named:
         partners.setdefault(a, []).append(b)
     candidates = set()
-    for (x, y), result in g._table.items():
+    for (x, y), result in named.items():
         for z in partners.get(result, ()):
             candidates.add((x, y, z))
             candidates.add((z, x, y))
     assoc_violations = []
     for a, b, c in candidates:
-        ab = g.lookup(a, b)
-        left = g.lookup(ab, c) if ab is not None else None
-        bc = g.lookup(b, c)
-        right = g.lookup(a, bc) if bc is not None else None
+        ab = named.get((a, b))
+        left = named.get((ab, c)) if ab is not None else None
+        bc = named.get((b, c))
+        right = named.get((a, bc)) if bc is not None else None
         if left != right:
             assoc_violations.append((a, b, c))
-    assoc_violations.sort()
-    handshake_violations = sorted(g.results() & g.arguments())
+    # Sorting names sorts their Actions, which order by name.
+    arguments = g._arguments
+    assoc_violations = [
+        (arguments[a], arguments[b], arguments[c]) for a, b, c in sorted(assoc_violations)
+    ]
+    shared = set(named.values()).intersection(arguments)
+    handshake_violations = [arguments[a] for a in sorted(shared)]
     return CommValidation(
         commutative=True,
         associative=not assoc_violations,
@@ -467,7 +493,8 @@ def load_comm_fn(text: str) -> CommFn:
     ``#`` starts a comment and blank lines are ignored.  Repeating a rule is
     fine; mapping the same pair to two different results is an error.
     """
-    seen: dict[frozenset[Action], tuple[Action, int]] = {}
+    actions: dict[str, Action] = {}
+    seen: dict[tuple[str, str], tuple[str, int]] = {}
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -476,20 +503,23 @@ def load_comm_fn(text: str) -> CommFn:
         m = _RULE_RE.match(line)
         if m is None:
             raise CommFnError(f"line {lineno}: expected 'a b -> c', got {line!r}")
-        try:
-            a, b, result = Action(m.group(1)), Action(m.group(2)), Action(m.group(3))
-        except ValueError as exc:
-            raise CommFnError(f"line {lineno}: {exc}") from exc
-        key = frozenset((a, b))
-        if key in seen and seen[key][0] != result:
+        x, y, z = m.groups()
+        for name in (x, y, z):
+            if name not in actions:
+                try:
+                    actions[name] = Action(name)
+                except ValueError as exc:
+                    raise CommFnError(f"line {lineno}: {exc}") from exc
+        key = (x, y) if x <= y else (y, x)
+        if key in seen and seen[key][0] != z:
             raise CommFnError(
-                f"line {lineno}: rule for {{{a}, {b}}} conflicts with line {seen[key][1]}"
+                f"line {lineno}: rule for {{{x}, {y}}} conflicts with line {seen[key][1]}"
             )
-        seen[key] = (result, lineno)
-        rules.append((a, b, result))
+        seen[key] = (z, lineno)
+        rules.append((actions[x], actions[y], actions[z]))
     return CommFn(rules)
 
 
 def dump_comm_fn(g: CommFn) -> str:
     """Render a gamma table in the file format accepted by load_comm_fn."""
-    return "".join(f"{a} {b} -> {c}\n" for a, b, c in g.pairs())
+    return "".join(f"{a} {b} -> {c.name}\n" for a, b, c in g._named_pairs())

@@ -1,5 +1,7 @@
 import random
 import time
+from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -15,6 +17,7 @@ from starpar import (
     parse_expression,
     scc_decompose,
 )
+from starpar.equivalence import _coarsest_partition
 from tests.samples import TWO_EXIT_LOOP_EXPR, two_exit_loop_automaton
 from tests.oracles import (
     is_isomorphism,
@@ -22,6 +25,7 @@ from tests.oracles import (
     naive_least_isomorphism,
     permute_automaton,
     random_automaton,
+    random_connected_fa,
 )
 
 
@@ -361,6 +365,64 @@ class TestSccLifting:
                         found = True
                         break
                 assert found
+
+
+def _counted_partition_with_counters(automata, seed):
+    """The counted refinement as it was first written: each signature is the
+    ``Counter`` of a state's (name, successor block) and ((name,),
+    predecessor block) pairs, frozen.  Kept as the reference that the
+    sorted-tuple signatures must match block for block."""
+    block = seed
+    count = len(set(block))
+    while True:
+        remap = {}
+        new = []
+        for m in automata:
+            succ, pred, _ = m._rows
+            local = block[len(new) : len(new) + m.n_states]
+            for s, moves in enumerate(succ):
+                pairs = ((name, local[t]) for name, t in moves)
+                ins = (((name,), local[u]) for name, u in pred[s])
+                step = frozenset(Counter(chain(pairs, ins)).items())
+                new.append(remap.setdefault((local[s], step), len(remap)))
+        if len(remap) == count:
+            return new
+        block = new
+        count = len(remap)
+
+
+class TestCountedSignature:
+    """``_coarsest_partition(counted=True)`` keys each state by sorted
+    tuples of its out- and in-pairs; the blocks, numbered by first
+    occurrence, are exactly those of the ``Counter`` signatures."""
+
+    @staticmethod
+    def assert_same_blocks(a, b):
+        seed = [(s == m.initial, s in m.terminating) for m in (a, b) for s in range(m.n_states)]
+        expected = _counted_partition_with_counters((a, b), seed)
+        assert _coarsest_partition((a, b), seed, counted=True) == expected, (a, b)
+
+    def test_random_pairs(self):
+        rng = random.Random(1901)
+        for _ in range(150):
+            self.assert_same_blocks(random_connected_fa(rng, 12), random_connected_fa(rng, 12))
+
+    def test_shuffled_copies(self):
+        rng = random.Random(1902)
+        for _ in range(150):
+            a = random_connected_fa(rng, 14)
+            perm = list(range(a.n_states))
+            rng.shuffle(perm)
+            self.assert_same_blocks(a, permute_automaton(a, perm))
+
+    def test_non_isomorphic_pairs(self):
+        rng = random.Random(1903)
+        for i in range(150):
+            a = _iso_test_automaton(rng, i % 5)
+            perm = list(range(a.n_states))
+            rng.shuffle(perm)
+            b = _one_edge_mutation(rng, permute_automaton(a, perm))
+            self.assert_same_blocks(a, b)
 
 
 def _iso_test_automaton(rng, kind, n=None):

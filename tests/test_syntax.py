@@ -309,8 +309,8 @@ _TABLE_INDEX = st.integers(0, len(_TABLE_ACTIONS) - 1)
 
 
 @st.composite
-def comm_tables(draw):
-    """Conflict-free tables over at most seven actions: a pair may be a
+def comm_rules(draw):
+    """Conflict-free rules over at most seven actions: a pair may be a
     self-communication, and a result may come back as an argument."""
     rules = draw(
         st.dictionaries(
@@ -319,15 +319,92 @@ def comm_tables(draw):
             max_size=16,
         )
     )
-    return CommFn(
+    return [
         (_TABLE_ACTIONS[i], _TABLE_ACTIONS[j], _TABLE_ACTIONS[r]) for (i, j), r in rules.items()
-    )
+    ]
+
+
+def comm_tables():
+    return comm_rules().map(CommFn)
 
 
 @settings(max_examples=300, deadline=None)
 @given(comm_tables())
 def test_validation_matches_closure_scan(g):
     assert validate_comm_fn(g) == naive_validate_comm_fn(g)
+
+
+class ActionKeyedTable:
+    """The reference for ``CommFn``'s surface: a dict keyed by ``Action``
+    pairs, every rule under both orderings, read the way the table was
+    read before it was keyed by name."""
+
+    def __init__(self, rules):
+        self.table = {}
+        for a, b, c in rules:
+            self.table[a, b] = self.table[b, a] = c
+
+    def pairs(self):
+        return sorted((a, b, c) for (a, b), c in self.table.items() if a <= b)
+
+    def repr(self):
+        return "CommFn(" + ", ".join(f"({a},{b})->{c}" for a, b, c in self.pairs()) + ")"
+
+    def dump(self):
+        return "".join(f"{a} {b} -> {c}\n" for a, b, c in self.pairs())
+
+    def arguments(self):
+        return frozenset(a for a, _ in self.table)
+
+    def results(self):
+        return frozenset(self.table.values())
+
+
+def _as_given(rules, flips):
+    """The rules with some argument pairs swapped and some rules repeated."""
+    given_rules = []
+    for (a, b, c), flip in zip(rules, flips):
+        given_rules.append((b, a, c) if flip % 2 else (a, b, c))
+        if flip >= 2:
+            given_rules.append((a, b, c))
+    return given_rules
+
+
+@settings(max_examples=200, deadline=None)
+@given(comm_rules(), comm_rules(), st.lists(st.integers(0, 3), min_size=16, max_size=16))
+def test_surface_matches_action_keyed_table(rules, other_rules, flips):
+    g = CommFn(_as_given(rules, flips))
+    ref = ActionKeyedTable(rules)
+    assert g.pairs() == ref.pairs()
+    assert repr(g) == ref.repr()
+    assert dump_comm_fn(g) == ref.dump()
+    assert g.arguments() == ref.arguments()
+    assert g.results() == ref.results()
+    closure = sorted(ref.arguments() | ref.results() | {Action("z")})
+    for a in closure:
+        for b in closure:
+            assert g.lookup(a, b) == ref.table.get((a, b))
+    other = CommFn(other_rules)
+    assert (g == other) == (ref.table == ActionKeyedTable(other_rules).table)
+    assert g == CommFn(rules) == load_comm_fn(dump_comm_fn(g))
+    for k, (a, b, c) in enumerate(rules):
+        for result in (Action("a"), Action("g")):
+            if result != c:
+                changed = CommFn(rules[:k] + [(a, b, result)] + rules[k + 1 :])
+                assert g != changed and changed != g
+    for copied in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert copied == g
+        assert repr(copied) == repr(g)
+        assert all(copied.lookup(a, b) == g.lookup(a, b) for a in closure for b in closure)
+
+
+def test_conflict_messages_are_pinned():
+    with pytest.raises(CommFnError) as err:
+        CommFn([(Action("a"), Action("b"), Action("c")), (Action("b"), Action("a"), Action("d"))])
+    assert str(err.value) == "conflicting rules for {b, a}: c vs d"
+    with pytest.raises(CommFnError) as err:
+        load_comm_fn("a b -> c\nb a -> d\n")
+    assert str(err.value) == "line 2: rule for {b, a} conflicts with line 1"
 
 
 class TestCommFnScale:
