@@ -6,12 +6,10 @@ ASTs are structurally equal.  Within one derivation every node is taken from
 a table of canonical nodes, one object per distinct subterm, so the rules
 recognise equal states by identity and never hash or compare a tree.
 
-A root that is ``||`` or ``encap`` is derived as the product of the leaves of
-its spine, the maximal ``||``/``encap`` part of the tree above them: no rule
-removes a spine node, so a state is one state per leaf, keyed by one int, and
-its label is filled into the spine's text.  Every other root is derived state
-by state through the rules.  Both derivations hand each state's moves to one
-numbering step, ``_number``, which orders, numbers and limits the new states.
+A root that is ``||`` or ``encap`` is derived as a product of leaf states
+(see ``_derive_product``); every other root state by state through the
+rules.  Both derivations hand each state's moves to one numbering step,
+``_number``, which orders, numbers and limits the new states.
 """
 
 from __future__ import annotations
@@ -47,6 +45,7 @@ from .syntax import (
     parse_expression,
     render_expression,  # noqa: F401 - perfbench/tracing.py wraps the name here
     render_memoised,
+    subterms,
 )
 
 if TYPE_CHECKING:
@@ -85,10 +84,9 @@ class _Rules:
     derive's state index are keyed by ``id()`` without hashing or comparing
     a tree.
 
-    ``step`` gives the moves of every node outside the ``||``/``encap``
-    spine of a derivation's root, which ``derive_automaton`` treats as a
-    product (see ``_derive_product``): the states of any other root, the
-    states of a spine's leaves, ``||`` below ``.``, ``+`` or ``*`` among
+    ``step`` gives the moves of every node outside the spine of a ``||`` or
+    ``encap`` root (see ``_derive_product``): the states of any other root,
+    the states of a spine's leaves, ``||`` below ``.``, ``+`` or ``*`` among
     them, and the argument of the public ``step``.  ``canonical`` and
     ``step`` dispatch on ``type(node)``, most frequent kind first, and the
     lifting loops of ``.``, ``*``, ``||`` and ``encap`` look the table up
@@ -129,26 +127,19 @@ class _Rules:
 
     def canonical(self, e: Expression) -> Expression:
         """The table's node structurally equal to ``e``.  An input node whose
-        children are already canonical joins the table as it is."""
+        children are already canonical joins the table as it is.  Reversed
+        ``subterms`` order puts every child before its parent, so one pass
+        finds each child in ``canon``.  A subtree shared in ``e`` is visited
+        once per occurrence: the cost is linear in the size of the tree, not
+        of the DAG, as for ``==`` and ``hash``."""
         table = self._table
         terminating = self.terminating
         canon: dict[int, Expression] = {}
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if id(node) in canon:
-                stack.pop()
-                continue
+        for node in reversed(list(subterms(e))):
             kind = type(node)
             if kind is Par or kind is Seq or kind is Alt:
-                left = canon.get(id(node.left))
-                right = canon.get(id(node.right))
-                if left is None or right is None:
-                    if left is None:
-                        stack.append(node.left)
-                    if right is None:
-                        stack.append(node.right)
-                    continue
+                left = canon[id(node.left)]
+                right = canon[id(node.right)]
                 key = (kind, id(left), id(right))
                 found = table.get(key)
                 if found is None:
@@ -161,10 +152,7 @@ class _Rules:
                     else:
                         terminating[id(found)] = terminating[id(left)] and terminating[id(right)]
             elif kind is Star or kind is Encap:
-                body = canon.get(id(node.body))
-                if body is None:
-                    stack.append(node.body)
-                    continue
+                body = canon[id(node.body)]
                 if kind is Star:
                     key = (Star, id(body))
                 else:
@@ -192,7 +180,6 @@ class _Rules:
                 found = table[(kind,)]
             else:
                 raise TypeError(f"not an expression: {node!r}")
-            stack.pop()
             canon[id(node)] = found
         return canon[id(e)]
 
@@ -307,7 +294,7 @@ def _distinct(moves) -> tuple[tuple[Action, Expression], ...]:
 def terminates(e: Expression) -> bool:
     """Decide the termination predicate on expressions.  The flag is set as
     each node joins the node table, so ``e`` is walked only by the iterative
-    ``canonical`` and any depth is answered."""
+    ``canonical``, once per node of its tree, and any depth is answered."""
     rules = _Rules(EMPTY_COMM)
     return rules.terminating[id(rules.canonical(e))]
 
@@ -343,12 +330,6 @@ _transition = partial(tuple.__new__, Transition)
 _by_name_and_label = operator.itemgetter(0, 1)
 
 
-def _is_state_id(value: object) -> bool:
-    # A plain int only: JSON true/false load as bool, a subclass of int, and
-    # an int subclass may print otherwise than json writes it.
-    return type(value) is int
-
-
 class _cached:
     """``functools.cached_property`` without its lock, as Python 3.12 has it.
     A non-data descriptor: the first read computes the value and stores it
@@ -374,10 +355,12 @@ class Automaton:
     """A finite labelled transition system with a termination predicate.
 
     States are the indices ``0 .. n_states - 1``, each with an optional text
-    label.  As in the JSON form, an id is a plain ``int`` (not a ``bool``) and
-    a label a ``str`` or ``None``.  Transitions are stored deduplicated and
-    sorted by (source, action name, target).  The public constructor checks
-    every field, and deduplicates and sorts the transitions.
+    label.  As in the JSON form, an id is a plain ``int`` and a label a
+    ``str`` or ``None``; ids are tested with ``type(id) is int``, since JSON
+    ``true``/``false`` load as ``bool``, a subclass of ``int``, and an ``int``
+    subclass may print otherwise than ``json`` writes it.  Transitions are
+    stored deduplicated and sorted by (source, action name, target).  The
+    public constructor checks every field, and deduplicates and sorts them.
     ``derive_automaton``, ``equivalence.minimize`` and, for input in the
     writer's own order, the JSON reader build their fields in that form and
     hand them over through ``_canonical_automaton``, which checks nothing.
@@ -400,10 +383,10 @@ class Automaton:
             raise ValueError("each state label must be a string or None")
         terminating = frozenset(self.terminating)
         for s in (self.initial, *terminating):
-            if not _is_state_id(s):
+            if type(s) is not int:
                 raise ValueError(f"state id {s!r} is not an integer")
         transitions = tuple(self.transitions)
-        for t in transitions:  # _is_state_id inlined: a call per id doubles this loop's cost
+        for t in transitions:
             if type(t.source) is not int or type(t.target) is not int:
                 raise ValueError(f"transition {t} needs integer state ids")
         object.__setattr__(self, "labels", labels)
@@ -537,14 +520,11 @@ def derive_automaton(
     node table with its termination flags, and the step and label memos
     keyed by node id, live for this call only and are dropped when it returns.
 
-    A ``||`` or ``encap`` root takes ``_derive_product``: its states are
-    tuples of leaf states of its spine, keyed by one mixed-radix int, their
-    moves come from one pass over the spine and their labels from the
-    spine's text with each leaf's text in its slot.  Every other root takes
-    the loop below, which asks ``_Rules.step`` for each state's moves and
-    keys a state by its node's id.  Both loops split each state's moves into
-    known and new targets and hand them to ``_number``, the one step that
-    numbers, labels, limits and orders.
+    A ``||`` or ``encap`` root takes ``_derive_product``.  Every other root
+    takes the loop below, which asks ``_Rules.step`` for each state's moves
+    and keys a state by its node's id.  Both loops split each state's moves
+    into known and new targets and hand them to ``_number``, the one step
+    that numbers, labels, limits and orders.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
@@ -682,7 +662,9 @@ def _state_bounds(rules: _Rules) -> dict[int, int]:
 
 def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automaton:
     """``derive_automaton`` of a canonical ``||`` or ``encap`` root, as the
-    product of its spine's leaves.
+    product of its spine's leaves.  The spine is the maximal ``||``/``encap``
+    part of the tree at the root, and its leaves are the maximal subterms
+    that are neither (see ``_flatten_spine``).
 
     No rule removes a ``||`` or ``encap`` node, so every state has the
     root's spine over one state of each leaf.  A leaf's states are numbered
@@ -703,7 +685,8 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     therefore repeat only once both operands of a ``||`` may stay put or a
     communication fired, and the pass deduplicates only then.  A move to a
     new state gets its leaf numbers and label pieces, its source's with the
-    moved leaves' swapped in, and ``_number`` numbers it as it does for the
+    moved leaves' swapped in, so its label is the spine's text with each
+    leaf's text in its slot, and ``_number`` numbers it as it does for the
     loop in ``derive_automaton``."""
     rendered: dict[int, str] = {}
     ops, leaves, minimum, parts, slots = _flatten_spine(root, rendered)
@@ -860,7 +843,7 @@ def automaton_from_dict(obj: object) -> Automaton:
     terminating = set()
     seen_ids = set()
     for entry in raw_states:
-        if not isinstance(entry, dict) or not _is_state_id(entry.get("id")):
+        if not isinstance(entry, dict) or type(entry.get("id")) is not int:
             raise AutomatonFormatError("each state needs an integer 'id'")
         i = entry["id"]
         if not 0 <= i < len(raw_states) or i in seen_ids:
@@ -875,7 +858,7 @@ def automaton_from_dict(obj: object) -> Automaton:
             raise AutomatonFormatError(f"state {i}: 'terminating' must be true or false")
         if flag:
             terminating.add(i)
-    if not _is_state_id(initial):
+    if type(initial) is not int:
         raise AutomatonFormatError("'initial' must be an integer state id")
     if not isinstance(raw_transitions, list):
         raise AutomatonFormatError("'transitions' must be an array")
@@ -910,7 +893,6 @@ def _scan_transitions(raw: list, n: int) -> tuple[tuple[Transition, ...], bool]:
             source, name, target = entry["from"], entry["action"], entry["to"]
         except KeyError as exc:
             raise AutomatonFormatError(f"transition missing key {exc.args[0]!r}") from exc
-        # _is_state_id inlined, as in __post_init__: its calls cost a tenth to a fifth of this loop
         if type(source) is not int or type(target) is not int or not isinstance(name, str):
             raise AutomatonFormatError(f"malformed transition {entry!r}")
         action = actions.get(name)

@@ -115,17 +115,21 @@ def act(name: str) -> Act:
 
 
 def subterms(e: Expression) -> Iterator[Expression]:
-    """Yield every node of the expression tree, root first."""
+    """Yield every node of the expression tree in pre-order: a node, then
+    its left subtree, then its right.  ``.``, ``+`` and ``||`` have two
+    children, ``*`` and ``encap`` one, and ``0``, ``1`` and actions none;
+    anything else is yielded as a leaf.  Reversed, the order puts every node
+    after its descendants, which the bottom-up passes read.  A subtree that
+    occurs twice is walked twice, so the cost is the size of the tree."""
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (Seq, Alt, Par)):
+        kind = type(node)
+        if kind is Seq or kind is Alt or kind is Par:
             stack.append(node.right)
             stack.append(node.left)
-        elif isinstance(node, Star):
-            stack.append(node.body)
-        elif isinstance(node, Encap):
+        elif kind is Star or kind is Encap:
             stack.append(node.body)
 
 
@@ -139,13 +143,10 @@ class Theory(Enum):
 
 def classify_theory(e: Expression) -> Theory:
     """Smallest theory containing ``e``: BPA without Par/Encap, PA adds Par, ACP adds Encap."""
-    has_par = False
-    for node in subterms(e):
-        if isinstance(node, Encap):
-            return Theory.ACP
-        if isinstance(node, Par):
-            has_par = True
-    return Theory.PA if has_par else Theory.BPA
+    kinds = set(map(type, subterms(e)))
+    if Encap in kinds:
+        return Theory.ACP
+    return Theory.PA if Par in kinds else Theory.BPA
 
 
 # ---------------------------------------------------------------------------

@@ -768,6 +768,29 @@ class TestCanonicalNodes:
                 assert terminates(e) == terminates_by_rule(e)
 
 
+class TestNonExpression:
+    """A node that is no expression is named in the same ``TypeError``
+    wherever it sits.  Each case holds one such node, so the message does
+    not depend on the order in which the tree is walked."""
+
+    CASES = {
+        "|| operand": lambda: Par(act("a"), "junk"),
+        ". operand": lambda: Seq("junk", act("a")),
+        "under *": lambda: Star("junk"),
+        "under encap": lambda: Encap(frozenset({Action("a")}), "junk"),
+        "bottom of a 2 000-level . chain": lambda: functools.reduce(
+            lambda e, i: Seq(e, act(f"a{i}")), range(2000), "junk"
+        ),
+    }
+
+    @pytest.mark.parametrize("call", [derive_automaton, terminates, step])
+    @pytest.mark.parametrize("case", CASES)
+    def test_message(self, case, call):
+        with pytest.raises(TypeError) as err:
+            call(self.CASES[case]())
+        assert str(err.value) == "not an expression: 'junk'"
+
+
 class TestDeepNesting:
     """Derivation recurses once per nesting level below the root's ``||``
     and ``encap`` spine, as deep as it ever did; the spine itself is walked
