@@ -71,6 +71,15 @@ def _fresh_name(base: str, forbidden: set[str]) -> str:
     return name
 
 
+def _control_action(name: str) -> Action:
+    """``Action(name)`` without ``__post_init__``'s checks, for the names
+    ``_fresh_name`` makes: ``enter_{i}`` or ``leave_{k}_{j}`` plus
+    underscores, always an identifier and never a reserved word."""
+    action = object.__new__(Action)
+    object.__setattr__(action, "name", name)
+    return action
+
+
 def _sum(terms: list[Expression]) -> Expression:
     """Left-associated alternative; the empty sum is deadlock."""
     if not terms:
@@ -96,9 +105,9 @@ def encode_fa(fa: Automaton) -> EncodingResult:
     m = len(alphabet)
 
     forbidden = {action.name for action in alphabet}
-    enter = tuple(Action(_fresh_name(f"enter_{i}", forbidden)) for i in range(n))
+    enter = tuple(_control_action(_fresh_name(f"enter_{i}", forbidden)) for i in range(n))
     leave = {
-        (k, j): Action(_fresh_name(f"leave_{k}_{j}", forbidden))
+        (k, j): _control_action(_fresh_name(f"leave_{k}_{j}", forbidden))
         for k in range(m)
         for j in range(n)
     }

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -328,6 +328,7 @@ class Transition(NamedTuple):
 _transition = partial(tuple.__new__, Transition)
 # Derive orders the moves to new states by (action name, label).
 _by_name_and_label = operator.itemgetter(0, 1)
+_by_name = operator.itemgetter(0)
 
 
 class _cached:
@@ -512,7 +513,7 @@ def derive_automaton(
     explored sorted by (action name, rendered successor); labels carry the
     rendered expressions.  A move to a state already numbered numbers
     nothing, so it goes straight into the row, and only the moves to new
-    states are rendered, sorted and numbered.  Each state's row is then
+    states are sorted and numbered.  Each state's row is then
     sorted by (action name, target index).  A state's moves are distinct
     and states are expanded in index order, so the transitions come out
     deduplicated and sorted.  Raises StateLimitExceeded once more than
@@ -521,10 +522,11 @@ def derive_automaton(
     keyed by node id, live for this call only and are dropped when it returns.
 
     A ``||`` or ``encap`` root takes ``_derive_product``.  Every other root
-    takes the loop below, which asks ``_Rules.step`` for each state's moves
-    and keys a state by its node's id.  Both loops split each state's moves
-    into known and new targets and hand them to ``_number``, the one step
-    that numbers, labels, limits and orders.
+    takes the loop below, which asks ``_Rules.step`` for each state's moves,
+    keys a state by its node's id and renders each new target through the
+    render memo, so a target reached twice is rendered once.  Both loops
+    split each state's moves into known and new targets and hand them to
+    ``_number``, the one step that numbers, labels, limits and orders.
     """
     if max_states < 1:
         raise ValueError("max_states must be positive")
@@ -557,81 +559,119 @@ def derive_automaton(
 def _number(
     source: int,
     row: list[tuple[str, int, Action]],
-    new: list[tuple[str, str, Action, int, object]],
+    new: list[tuple[str, str | None, Action, int, object]],
     index: dict[int, int],
-    labels: list[str],
+    labels: list[str | None],
     pending: list,
     max_states: int,
+    label_of: Callable[[object], str] | None = None,
 ) -> list[Transition]:
     """The numbering step that both derive loops share: the transitions of
     state ``source``, whose moves to states already numbered are ``row``, as
     (name, target index, action), and whose others are ``new``, as (name,
-    label, action, target key, pending entry).  The new moves are numbered
-    in (name, label) order: a target not yet in ``index`` gets the next
-    index, its label goes to ``labels`` and its entry to ``pending``, where
-    states wait in index order.  Two new moves may share a target, so each
+    label, action, target key, entry).  The new moves are numbered in
+    (name, label) order: a target not yet in ``index`` gets the next index,
+    its label goes to ``labels`` and its entry to ``pending``, where states
+    wait in index order.  A move may come without its label (None), which
+    the caller then renders when it takes the state from ``pending``; only
+    where two new moves share a name does ``label_of(entry)`` render their
+    labels here, for the order.  Two new moves may share a target, so each
     looks ``index`` up again.  Raises StateLimitExceeded before a state past
     ``max_states`` is numbered: ``source + 1`` states have been expanded and
     the rest are still pending."""
-    if new:
-        new.sort(key=_by_name_and_label)
-        for name, label, action, key, entry in new:
-            target = index.get(key)
-            if target is None:
-                if len(index) >= max_states:
-                    raise StateLimitExceeded(max_states, source + 1, len(index) - source - 1)
-                target = index[key] = len(index)
-                labels.append(label)
-                pending.append(entry)
-            row.append((name, target, action))
+    if len(new) > 1:
+        if label_of is not None and len(set(map(_by_name, new))) < len(new):
+            _label_ties(new, label_of)
+        new.sort(key=_by_name_and_label)  # a label is compared only between moves of one name
+    for name, label, action, key, entry in new:
+        target = index.get(key)
+        if target is None:
+            if len(index) >= max_states:
+                raise StateLimitExceeded(max_states, source + 1, len(index) - source - 1)
+            target = index[key] = len(index)
+            labels.append(label)
+            pending.append(entry)
+        row.append((name, target, action))
     row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
     return [_transition((source, action, t)) for _, t, action in row]
 
 
-_LEAF, _PAR, _ENCAP = 0, 1, 2
+def _label_ties(new: list[tuple], label_of: Callable[[object], str]) -> None:
+    """Label, in place, each move of ``new`` whose name another shares."""
+    names = [move[0] for move in new]
+    for i, (name, label, action, key, entry) in enumerate(new):
+        if label is None and names.count(name) > 1:
+            new[i] = (name, label_of(entry), action, key, entry)
+
+
+_PAR, _ENCAP = 0, 1  # _flatten_spine's end-of-node markers
 
 
 def _flatten_spine(
     root: Expression, rendered: dict[int, str]
-) -> tuple[list[tuple[int, object]], list[Expression], list[int], list[str], list[int]]:
-    """The maximal ``||``/``encap`` spine under ``root``, walked once with an
-    explicit stack.  Returns its post-order ops; its leaves, the maximal
-    subterms that are neither ``||`` nor ``encap``, left to right; the
-    precedence each leaf's text is wrapped against; the root's label as a
-    list of texts, ``render_memoised``'s pieces around the leaves (``||``,
-    the parentheses of a ``||`` right operand, ``encap{..}(`` and its ``)``)
-    with each leaf's wrapped text in a slot of its own; and the slots'
-    positions.  An op is ``(_LEAF, leaf index)``, ``(_PAR, None)`` or
-    ``(_ENCAP, blocked names)``."""
-    ops: list[tuple[int, object]] = []
+) -> tuple[
+    list[Expression], list[int], list[str], list[int], list[list], list[int], list[list], list[int]
+]:
+    """The maximal ``||``/``encap`` spine under ``root``, walked once, left
+    to right, with an explicit stack.  The leaves are the maximal subterms
+    that are neither ``||`` nor ``encap``; each spine node holds a range of
+    them, ``[first, end)``, and the ranges nest.  Returns:
+
+    - the leaves, and the precedence each leaf's text is wrapped against;
+    - the root's label as a list of texts, ``render_memoised``'s pieces
+      around the leaves (``||``, the parentheses of a ``||`` right operand,
+      ``encap{..}(`` and its ``)``) with each leaf's wrapped text in a slot
+      of its own, and the slots' positions;
+    - each ``encap`` as ``[blocked names, first, end, enclosing encap]`` and
+      each leaf's innermost ``encap``;
+    - each ``||`` as ``[first, end, enclosing ||]`` and each leaf's nearest
+      ``||``.
+
+    An enclosing node is an index into its list, and -1 stands for none."""
     leaves: list[Expression] = []
     minimum: list[int] = []
     parts: list[str] = []
     slots: list[int] = []
-    stack: list = [(root, 0)]  # (node, precedence to wrap against), an op, or literal text
+    encaps: list[list] = []
+    inner: list[int] = []
+    pars: list[list] = []
+    up: list[int] = []
+    encap = par = -1  # the innermost encap and || around the walk
+    stack: list = [(root, 0)]  # (node, precedence to wrap against), an end marker, or literal text
     while stack:
         item = stack.pop()
         if type(item) is str:
             parts.append(item)
             continue
-        node, least = item
+        node, arg = item
         kind = type(node)
-        if kind is int:
-            ops.append(item)
+        if kind is int:  # (marker, record): the node's leaves are done
+            arg[-2] = len(leaves)
+            if node == _PAR:
+                par = arg[-1]
+            else:
+                encap = arg[-1]
         elif kind is Par:
+            record = [len(leaves), 0, par]
+            par = len(pars)
+            pars.append(record)
             prec = _PREC[Par]
-            operands = [(_PAR, None), (node.right, prec + 1), _INFIX[Par], (node.left, prec)]
-            stack += [")", *operands, "("] if least > prec else operands
+            operands = [(_PAR, record), (node.right, prec + 1), _INFIX[Par], (node.left, prec)]
+            stack += [")", *operands, "("] if arg > prec else operands
         elif kind is Encap:
             names = frozenset(a.name for a in node.blocked)
-            stack += [")", (_ENCAP, names), (node.body, 0), f"encap{{{','.join(sorted(names))}}}("]
+            record = [names, len(leaves), 0, encap]
+            encap = len(encaps)
+            encaps.append(record)
+            stack += [")", (_ENCAP, record), (node.body, 0), f"encap{{{','.join(sorted(names))}}}("]
         else:
-            ops.append((_LEAF, len(leaves)))
             leaves.append(node)
-            minimum.append(least)
+            minimum.append(arg)
+            inner.append(encap)
+            up.append(par)
             slots.append(len(parts))
-            parts.append(_wrap(render_memoised(node, rendered), node, least))
-    return ops, leaves, minimum, parts, slots
+            parts.append(_wrap(render_memoised(node, rendered), node, arg))
+    return leaves, minimum, parts, slots, encaps, inner, pars, up
 
 
 def _state_bounds(rules: _Rules) -> dict[int, int]:
@@ -660,6 +700,49 @@ def _state_bounds(rules: _Rules) -> dict[int, int]:
     return bound
 
 
+def _meet(
+    early: tuple,
+    late: tuple,
+    c: Action,
+    again: bool,
+    encaps: list[list],
+    pars: list[list],
+    width: int,
+) -> tuple[tuple | None, tuple | None]:
+    """The communication ``c`` of two sync candidates that reach each other,
+    as a move if no ``encap`` above the ``||`` where they meet blocks it,
+    and, when ``again`` (``c`` is itself an argument of the communication
+    function), as a candidate placed at that ``||``; None where it is not.
+
+    A candidate is (name, action, key delta, changes, first leaf, end leaf,
+    lowest ``encap`` holding those leaves, reach's first leaf, reach's end
+    leaf, nearest ``||`` above).  Its reach is the range of the lowest
+    ``encap`` that holds its leaves and blocks its name, or the whole
+    spine.  The ranges nest, so the lowest ``encap`` holding both
+    candidates is the first on ``early``'s chain that holds ``late``'s
+    first leaf, and the ``||`` where they meet the first above ``early``
+    that does."""
+    first = late[4]
+    delta = early[2] + late[2]
+    changes = early[3] + late[3]
+    chain = early[6]
+    while chain >= 0 and not encaps[chain][1] <= first < encaps[chain][2]:
+        chain = encaps[chain][3]
+    name = c.name
+    block = chain
+    while block >= 0 and name not in encaps[block][0]:
+        block = encaps[block][3]
+    move = (name, c, delta, changes) if block < 0 else None
+    if not again:
+        return move, None
+    par = early[9]
+    while not pars[par][0] <= first < pars[par][1]:
+        par = pars[par][2]
+    start, end, above = pars[par]
+    reach = (0, width) if block < 0 else encaps[block][1:3]
+    return move, (name, c, delta, changes, start, end, chain, *reach, above)
+
+
 def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automaton:
     """``derive_automaton`` of a canonical ``||`` or ``encap`` root, as the
     product of its spine's leaves.  The spine is the maximal ``||``/``encap``
@@ -672,31 +755,45 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     numbers, keyed by one int in mixed radix: leaf ``i``'s digit has the
     stride of the product of the state bounds of the leaves before it,
     which ``_state_bounds`` reads off the node table at set-up, while it
-    holds only the canonical root's nodes and before any step.  A leaf's
-    moves come from ``_Rules.step``, memoised per leaf state as
-    (name, action, key delta, ((leaf, new number),)) tuples.  A state's
-    moves come from one bottom-up pass over the spine's ops: a ``||`` lifts
-    by concatenating its operands' moves and pairs the ones ``_partners``
-    matches, adding their deltas and joining their changes; an ``encap``
-    drops moves by name.  No target is built below the root: a move's
-    target key is the state's key plus its delta.  A leaf's moves are
-    distinct, and a left and a right lift of one ``||`` change disjoint
-    digits, so their deltas are equal only when both are 0.  Moves can
-    therefore repeat only once both operands of a ``||`` may stay put or a
-    communication fired, and the pass deduplicates only then.  A move to a
-    new state gets its leaf numbers and label pieces, its source's with the
-    moved leaves' swapped in, so its label is the spine's text with each
-    leaf's text in its slot, and ``_number`` numbers it as it does for the
-    loop in ``derive_automaton``."""
+    holds only the canonical root's nodes and before any step.  A move's
+    target key is the state's key plus the move's delta, so no target is
+    built below the root.
+
+    The spine is compiled once into synchronisation vectors: each
+    ``encap`` and ``||`` holds a range of leaves, and a move passes the
+    ``encap`` nodes that hold its leaves.  A leaf's moves come from
+    ``_Rules.step``, memoised per leaf state in two lists.  The alone
+    moves, (name, action, key delta, ((leaf, new number),)), are those no
+    ``encap`` above the leaf blocks.  The sync candidates are the moves
+    whose name the communication function relates, with the range of
+    leaves each can meet (see ``_meet``): leaf ``i``'s move meets leaf
+    ``j``'s at their lowest common ``||`` when no ``encap`` that holds
+    ``i`` but not ``j`` blocks it.  A state's moves are its leaves' alone
+    moves, then the communications: each candidate, in turn, is paired
+    through a name index with the earlier candidates that are enabled now,
+    hold other leaves and reach it, and a communication whose result is
+    itself an argument joins the candidates, placed at the ``||`` where it
+    formed, so that it can communicate again.  Each pair is met once.
+
+    A leaf's moves are distinct, and two leaves change different digits,
+    so two moves can repeat only when a communication fired or two leaves
+    have alone moves back to themselves; only then are they deduplicated.
+    A move to a new state carries only its source's leaf numbers and label
+    pieces and its changes.  The state's own, its source's with the moved
+    leaves' swapped in, are built when it leaves ``pending``, and its label,
+    the spine's text with each leaf's text in its slot, is joined then, or
+    by ``_number`` when two new moves of one name need their labels for the
+    order.  A state that is never numbered is never rendered."""
     rendered: dict[int, str] = {}
-    ops, leaves, minimum, parts, slots = _flatten_spine(root, rendered)
+    leaves, minimum, parts, slots, encaps, inner, pars, up = _flatten_spine(root, rendered)
+    width = len(leaves)
     bound = _state_bounds(rules)
     bounds = [bound[id(leaf)] for leaf in leaves[:-1]]  # the last leaf's digit has nothing above it
     strides = list(accumulate(bounds, operator.mul, initial=1))
     partners = rules._partners
     flags = rules.terminating
     numbers: list[dict[int, int]] = []  # per leaf: the number of each state's node id
-    memo: list[list] = []  # per leaf and state: the node, then (moves, loops)
+    memo: list[list] = []  # per leaf and state: the node, then (alone, sync, loops)
     texts: list[list[str]] = []  # per leaf and state: the wrapped text
     ends: list[list[bool]] = []  # per leaf and state: the termination flag
     for leaf, slot in zip(leaves, slots):
@@ -705,11 +802,12 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
         texts.append([parts[slot]])
         ends.append([flags[id(leaf)]])
 
-    def leaf_moves(i: int, x: int) -> tuple[list, bool]:
+    def leaf_moves(i: int, x: int) -> tuple[list, list, bool]:
         known = numbers[i]
         states = memo[i]
         stride = strides[i]
-        moves = []
+        alone = []
+        sync = []
         loops = False
         for action, target in rules.step(states[x]):
             y = known.get(id(target))
@@ -720,61 +818,87 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
                 states.append(target)
                 texts[i].append(_wrap(render_memoised(target, rendered), target, minimum[i]))
                 ends[i].append(flags[id(target)])
-            elif y == x:
-                loops = True
-            moves.append((action.name, action, (y - x) * stride, ((i, y),)))
-        entry = states[x] = (moves, loops)
+            name = action.name
+            move = (name, action, (y - x) * stride, ((i, y),))
+            block = inner[i]
+            while block >= 0 and name not in encaps[block][0]:
+                block = encaps[block][3]
+            if block < 0:
+                alone.append(move)
+                if y == x:
+                    loops = True
+            if name in partners:
+                reach = (0, width) if block < 0 else encaps[block][1:3]
+                if reach[1] - reach[0] > 1:  # it can meet another leaf
+                    sync.append((*move, i, i + 1, inner[i], *reach, up[i]))
+        entry = states[x] = (alone, sync, loops)
         return entry
+
+    def label_of(entry: tuple) -> str:
+        _, _, pieces, changes = entry
+        filled = pieces.copy()
+        for i, y in changes:
+            filled[slots[i]] = texts[i][y]
+        return "".join(filled)
 
     getitem = operator.getitem
     index: dict[int, int] = {0: 0}
-    labels = ["".join(parts)]
-    # (key, leaf numbers, label pieces) of each state, in index order
-    pending: list[tuple[int, list[int], list[str]]] = [(0, [0] * len(leaves), parts)]
+    labels: list[str | None] = ["".join(parts)]
+    # Each state, in index order, as its key, then its source's leaf numbers
+    # and label pieces and the changes of the move that reached it.
+    pending: list[tuple[int, list[int], list[str], tuple]] = [(0, [0] * width, parts, ())]
     transitions: list[Transition] = []
     terminating: set[int] = set()
-    for source, (key, state, pieces) in enumerate(pending):  # the loop sees states appended below
+    for source, (key, state, pieces, changes) in enumerate(pending):  # sees states appended below
+        if changes:
+            state = state.copy()
+            pieces = pieces.copy()
+            for i, y in changes:
+                state[i] = y
+                pieces[slots[i]] = texts[i][y]
+            if labels[source] is None:
+                labels[source] = "".join(pieces)
         if all(map(getitem, ends, state)):
             terminating.add(source)
-        values: list[tuple[list, bool]] = []
-        repeats = False
-        for op, arg in ops:
-            if op == _LEAF:
-                entry = memo[arg][state[arg]]
-                values.append(entry if type(entry) is tuple else leaf_moves(arg, state[arg]))
-            elif op == _PAR:
-                right, right_loops = values.pop()
-                left, left_loops = values[-1]
-                if not right:
-                    continue
-                if not left:
-                    values[-1] = (right, right_loops)
-                    continue
-                found = left + right
-                if left_loops and right_loops:
-                    repeats = True
-                if partners:
-                    small, big = (left, right) if len(left) <= len(right) else (right, left)
-                    matched = [
-                        (names, delta, changes)
-                        for name, _, delta, changes in small
-                        if (names := partners.get(name)) is not None
-                    ]
-                    if matched:
-                        lifts = len(found)
-                        for name, _, delta2, changes2 in big:
-                            for names, delta, changes in matched:
-                                c = names.get(name)
-                                if c is not None:
-                                    found.append((c.name, c, delta + delta2, changes + changes2))
-                        if len(found) > lifts:
-                            repeats = True
-                values[-1] = (found, left_loops or right_loops)
-            else:
-                moves, loops = values[-1]
-                values[-1] = ([move for move in moves if move[0] not in arg], loops)
-        moves = values[0][0]
-        if repeats:
+        moves = []
+        waiting = []
+        looping = 0
+        for i, x in enumerate(state):
+            entry = memo[i][x]
+            if type(entry) is not tuple:
+                entry = leaf_moves(i, x)
+            alone, sync, loops = entry
+            if alone:
+                moves += alone
+                looping += loops
+            if sync:
+                waiting += sync
+        fired = False
+        if len(waiting) > 1:
+            enabled: dict[str, list[tuple]] = {}
+            for late in waiting:  # the loop sees candidates appended below
+                name = late[0]
+                first = late[4]
+                for partner, c in partners[name].items():
+                    for early in enabled.get(partner, ()):
+                        if (
+                            (early[5] <= first or late[5] <= early[4])
+                            and early[7] <= first < early[8]
+                            and late[7] <= early[4] < late[8]
+                        ):
+                            fired = True
+                            again = c.name in partners
+                            move, candidate = _meet(early, late, c, again, encaps, pars, width)
+                            if move is not None:
+                                moves.append(move)
+                            if again:
+                                waiting.append(candidate)
+                group = enabled.get(name)
+                if group is None:
+                    enabled[name] = [late]
+                else:
+                    group.append(late)
+        if fired or looping > 1:
             moves = {(move[0], move[2]): move for move in moves}.values()
         row = []
         new = []
@@ -782,15 +906,10 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
             target = key + delta
             target_index = index.get(target)
             if target_index is None:
-                successor = state.copy()
-                filled = pieces.copy()
-                for i, y in changes:
-                    successor[i] = y
-                    filled[slots[i]] = texts[i][y]
-                new.append((name, "".join(filled), action, target, (target, successor, filled)))
+                new.append((name, None, action, target, (target, state, pieces, changes)))
             else:
                 row.append((name, target_index, action))
-        transitions += _number(source, row, new, index, labels, pending, max_states)
+        transitions += _number(source, row, new, index, labels, pending, max_states, label_of)
     return _canonical_automaton(tuple(labels), 0, tuple(transitions), frozenset(terminating))
 
 

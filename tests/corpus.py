@@ -195,10 +195,8 @@ def encoding_records() -> list[str]:
         enc = encode_fa(fa)
         derived = automaton_to_json(derive_automaton(enc.expression, enc.gamma))
         result = verify_encoding(fa)
-        records.append(
-            f"{automaton_to_json(fa)}isomorphic {result.isomorphic} mapping {list(result.mapping)}\n"
-            f"{derived}"
-        )
+        mapping = list(result.mapping)
+        records.append(f"{automaton_to_json(fa)}isomorphic {result.isomorphic} mapping {mapping}\n{derived}")
     return records
 
 

@@ -25,6 +25,7 @@ def test_spines_reach_the_limit_and_communicate():
     records = corpus.spine_records()
     limited = [r for r in records if "\nlimit " in r]
     assert 100 < len(limited) < len(records) // 2
-    by_term = [records[i:i + len(corpus.GAMMAS)] for i in range(0, len(records), len(corpus.GAMMAS))]
+    k = len(corpus.GAMMAS)
+    by_term = [records[i:i + k] for i in range(0, len(records), k)]
     changed = sum(len({r.split("\n", 1)[1] for r in group}) > 1 for group in by_term)
     assert changed > 100

@@ -24,6 +24,7 @@ from starpar import (
     verify_encoding,
 )
 from tests.samples import four_state_fa
+from tests.corpus import connected_fa
 from tests.oracles import is_isomorphism, random_connected_fa
 
 
@@ -105,6 +106,14 @@ class TestGamma:
         fa_names = {a.name for a in four_state_fa().actions()}
         assert not fa_names & {x.name for x in enc.control.all_actions}
 
+    def test_control_names_pass_the_public_constructor(self):
+        # encode_fa builds its control actions without the name checks.
+        enc = encode_fa(connected_fa(random.Random(61), 60, 3))
+        control = [*enc.control.enter, *enc.control.leave.values()]
+        assert len({a.name for a in control}) == 60 + 60 * 3
+        for action in control:
+            assert Action(action.name) == action
+
 
 class TestFreshness:
     def test_collision_gets_underscore(self):
@@ -182,7 +191,7 @@ class TestVerify:
             assert result.isomorphic
 
     def test_sixty_states_four_actions(self):
-        fa = _connected_fa(random.Random(60), 60, 4)
+        fa = connected_fa(random.Random(60), 60, 4)
         result = verify_encoding(fa)
         assert result.isomorphic
         assert sorted(result.mapping) == list(range(60))
@@ -191,6 +200,15 @@ class TestVerify:
         # Labels of the 60-leaf spine read back to themselves.
         for label in derived.labels:
             assert render_expression(parse_expression(label)) == label
+
+    def test_three_hundred_states_two_actions(self):
+        # A scale check with no clock: the encoding's 300-leaf spine derives
+        # to an automaton isomorphic to its input.
+        fa = connected_fa(random.Random(300), 300, 2)
+        result = verify_encoding(fa)
+        assert result.isomorphic
+        derived = derive_automaton(*_derivation_inputs(fa))
+        assert is_isomorphism(fa, derived, result.mapping)
 
     def test_action_preservation_and_termination_alignment(self):
         fa = four_state_fa()
@@ -201,23 +219,6 @@ class TestVerify:
         mapping = verify_encoding(fa).mapping
         for s in range(fa.n_states):
             assert (mapping[s] in derived.terminating) == (s in fa.terminating)
-
-
-def _connected_fa(rng, n, m):
-    """``n`` states all reachable from state 0, ``2n - 1`` edges before
-    deduplication, and every one of the ``m`` actions used."""
-    actions = [Action(f"a{k}") for k in range(m)]
-    edges = [(rng.randrange(t), t) for t in range(1, n)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
-    return Automaton(
-        labels=(None,) * n,
-        initial=0,
-        transitions=tuple(
-            Transition(source, actions[i] if i < m else rng.choice(actions), target)
-            for i, (source, target) in enumerate(edges)
-        ),
-        terminating=frozenset(s for s in range(n) if rng.random() < 0.4),
-    )
 
 
 def _derivation_inputs(fa):
