@@ -22,11 +22,17 @@ Families:
 - ``encodings``: encodings of 16- to 60-state automata from
   ``connected_fa``: the derived automaton's JSON and ``verify_encoding``'s
   mapping.
+- ``refinement``: automata of at most 40 states, from ``connected_fa`` and
+  derived from spine and root terms, each paired with a shuffled copy, with
+  a copy that has one edge's action or target changed, and with its
+  ``minimize``; a record is the pair, ``bisimilar``'s verdict, partition
+  and sorted witness pairs, the second automaton's ``minimize`` and
+  ``isomorphic``'s verdict and mapping.
 
 ``python -m tests.corpus`` prints each family's digest and record count.
-``python -m tests.corpus --write`` writes ``tests/corpus_fingerprints.json``
-(a short hash per record, which lets a failing test name the first record
-that moved) if it does not exist yet.  ``python -m tests.corpus --diff
+``python -m tests.corpus --write`` adds to ``tests/corpus_fingerprints.json``
+a short hash per record of each family not in it yet, which lets a failing
+test name the first record that moved; a family already there is kept.  ``python -m tests.corpus --diff
 CHECKOUT`` rebuilds the records with the ``src/`` of another checkout and
 prints the first record of each family that differs from this one's.
 """
@@ -58,10 +64,14 @@ from starpar import (
     act,
     automaton_to_json,
     derive_automaton,
+    bisimilar,
     encode_fa,
+    isomorphic,
+    minimize,
     render_expression,
     verify_encoding,
 )
+from tests.oracles import permute_automaton
 
 FINGERPRINTS = Path(__file__).with_name("corpus_fingerprints.json")
 
@@ -200,7 +210,74 @@ def encoding_records() -> list[str]:
     return records
 
 
-FAMILIES = {"spines": spine_records, "roots": root_records, "encodings": encoding_records}
+REFINEMENT_STATES = 40
+
+
+def _refinement_inputs() -> list[Automaton]:
+    """Automata of at most ``REFINEMENT_STATES`` states with at least one
+    transition: ``connected_fa`` draws, then spine and root terms derived
+    under a random table that fit the bound."""
+    rng = random.Random(20261023)
+    inputs = [connected_fa(rng, rng.randint(2, REFINEMENT_STATES), rng.randint(1, 3)) for _ in range(100)]
+    while len(inputs) < 200:
+        if len(inputs) % 2:
+            leaves = [_term(rng, rng.choice((1, 2, 3))) for _ in range(rng.randint(2, 3))]
+            e = _spine(rng, leaves, "random", 0.2)
+        else:
+            e = _term(rng, 4)
+        try:
+            a = derive_automaton(e, GAMMAS[rng.choice(list(GAMMAS))], REFINEMENT_STATES)
+        except StateLimitExceeded:
+            continue
+        if a.transitions:
+            inputs.append(a)
+    return inputs
+
+
+def _mutated(rng: random.Random, a: Automaton) -> Automaton:
+    """``a`` with one transition's target, or else its action, changed."""
+    transitions = list(a.transitions)
+    i = rng.randrange(len(transitions))
+    t = transitions[i]
+    if a.n_states > 1 and rng.random() < 0.5:
+        transitions[i] = t._replace(target=rng.choice([s for s in range(a.n_states) if s != t.target]))
+    else:
+        names = sorted(({u.action.name for u in transitions} | {"z"}) - {t.action.name})
+        transitions[i] = t._replace(action=Action(rng.choice(names)))
+    return Automaton(a.labels, a.initial, tuple(transitions), a.terminating)
+
+
+def _pair_record(kind: str, a: Automaton, b: Automaton) -> str:
+    bisim = bisimilar(a, b)
+    witness = None if bisim.witness_relation is None else sorted(bisim.witness_relation)
+    iso = isomorphic(a, b)
+    mapping = None if iso.mapping is None else list(iso.mapping)
+    return (
+        f"{kind}\n{automaton_to_json(a)}{automaton_to_json(b)}"
+        f"bisimilar {bisim.bisimilar} partition {list(bisim.partition)}\nwitness {witness}\n"
+        f"minimize {automaton_to_json(minimize(b))}"
+        f"isomorphic {iso.isomorphic} mapping {mapping}\n"
+    )
+
+
+def refinement_records() -> list[str]:
+    rng = random.Random(20261024)
+    records = []
+    for a in _refinement_inputs():
+        perm = list(range(a.n_states))
+        rng.shuffle(perm)
+        records.append(_pair_record("shuffled", a, permute_automaton(a, perm)))
+        records.append(_pair_record("mutated", a, _mutated(rng, a)))
+        records.append(_pair_record("minimized", a, minimize(a)))
+    return records
+
+
+FAMILIES = {
+    "spines": spine_records,
+    "roots": root_records,
+    "encodings": encoding_records,
+    "refinement": refinement_records,
+}
 
 
 def digest(records: list[str]) -> str:
@@ -255,11 +332,11 @@ def main(argv: list[str]) -> None:
     families = {family: build() for family, build in FAMILIES.items()}
     for family, records in families.items():
         print(f"{family} {len(records)} {digest(records)}")
-    if argv == ["--write"] and not FINGERPRINTS.exists():
-        FINGERPRINTS.write_text(json.dumps(
-            {family: [fingerprint(r) for r in records] for family, records in families.items()},
-            indent=0,
-        ) + "\n")
+    if argv == ["--write"]:
+        pinned = json.loads(FINGERPRINTS.read_text()) if FINGERPRINTS.exists() else {}
+        for family, records in families.items():
+            pinned.setdefault(family, [fingerprint(r) for r in records])
+        FINGERPRINTS.write_text(json.dumps(pinned, indent=0) + "\n")
 
 
 if __name__ == "__main__":
