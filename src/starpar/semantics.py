@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import partial
@@ -55,9 +55,11 @@ DEFAULT_MAX_STATES = 100_000
 
 
 class StateLimitExceeded(RuntimeError):
-    """Raised when a derivation reaches more distinct states than allowed.
-    Of the ``limit`` states reached, ``expanded`` had left the breadth-first
-    queue (the last one partly explored) and ``queued`` were still in it."""
+    """Raised when a derivation would reach more distinct states than
+    allowed: a state whose new states do not all fit raises before any of
+    them is numbered or ordered, so the spine product joins none of their
+    labels.  ``expanded`` counts the states that left the breadth-first
+    queue, that one included, and ``queued`` is ``limit - expanded``."""
 
     def __init__(self, limit: int, expanded: int, queued: int):
         super().__init__(f"state limit of {limit} exceeded: {expanded} expanded, {queued} queued")
@@ -517,7 +519,7 @@ def derive_automaton(
     sorted by (action name, target index).  A state's moves are distinct
     and states are expanded in index order, so the transitions come out
     deduplicated and sorted.  Raises StateLimitExceeded once more than
-    ``max_states`` distinct expressions have been reached.  The canonical
+    ``max_states`` distinct expressions would be reached.  The canonical
     node table with its termination flags, and the step and label memos
     keyed by node id, live for this call only and are dropped when it returns.
 
@@ -569,39 +571,36 @@ def _number(
     """The numbering step that both derive loops share: the transitions of
     state ``source``, whose moves to states already numbered are ``row``, as
     (name, target index, action), and whose others are ``new``, as (name,
-    label, action, target key, entry).  The new moves are numbered in
-    (name, label) order: a target not yet in ``index`` gets the next index,
-    its label goes to ``labels`` and its entry to ``pending``, where states
-    wait in index order.  A move may come without its label (None), which
-    the caller then renders when it takes the state from ``pending``; only
-    where two new moves share a name does ``label_of(entry)`` render their
-    labels here, for the order.  Two new moves may share a target, so each
-    looks ``index`` up again.  Raises StateLimitExceeded before a state past
-    ``max_states`` is numbered: ``source + 1`` states have been expanded and
-    the rest are still pending."""
+    label, action, target key, entry).  The limit is decided first, once per
+    state: if the distinct keys of ``new`` do not all fit in ``max_states``,
+    StateLimitExceeded is raised before any is numbered or ordered, with
+    ``source + 1`` states expanded and the rest queued.  The new moves are
+    numbered in (name, label) order: a target not yet in ``index`` gets the
+    next index, its label goes to ``labels`` and its entry to ``pending``,
+    where states wait in index order.  A move may come without its label
+    (None), which the caller then renders when it takes the state from
+    ``pending``; only where two new moves share a name does
+    ``label_of(entry)`` render their labels here, for the order.  Two new
+    moves may share a target, so each looks ``index`` up again."""
+    room = max_states - len(index)
+    if len(new) > room and len({move[3] for move in new}) > room:
+        raise StateLimitExceeded(max_states, source + 1, max_states - source - 1)
     if len(new) > 1:
         if label_of is not None and len(set(map(_by_name, new))) < len(new):
-            _label_ties(new, label_of)
+            count = Counter(map(_by_name, new))
+            for i, (name, _, action, key, entry) in enumerate(new):
+                if count[name] > 1:
+                    new[i] = (name, label_of(entry), action, key, entry)
         new.sort(key=_by_name_and_label)  # a label is compared only between moves of one name
     for name, label, action, key, entry in new:
         target = index.get(key)
         if target is None:
-            if len(index) >= max_states:
-                raise StateLimitExceeded(max_states, source + 1, len(index) - source - 1)
             target = index[key] = len(index)
             labels.append(label)
             pending.append(entry)
         row.append((name, target, action))
     row.sort()  # the (name, target index) pairs are distinct, so no Action is compared
     return [_transition((source, action, t)) for _, t, action in row]
-
-
-def _label_ties(new: list[tuple], label_of: Callable[[object], str]) -> None:
-    """Label, in place, each move of ``new`` whose name another shares."""
-    names = [move[0] for move in new]
-    for i, (name, label, action, key, entry) in enumerate(new):
-        if label is None and names.count(name) > 1:
-            new[i] = (name, label_of(entry), action, key, entry)
 
 
 _PAR, _ENCAP = 0, 1  # _flatten_spine's end-of-node markers

@@ -7,6 +7,7 @@ import json
 import pickle
 import random
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -814,6 +815,23 @@ class TestDeepNesting:
         with pytest.raises(StateLimitExceeded) as info:
             derive_automaton(e, max_states=10)
         assert (info.value.limit, info.value.expanded, info.value.queued) == (10, 1, 9)
+
+    @pytest.mark.parametrize("names", ["tied", "distinct"])
+    def test_wide_chain_fails_the_limit_before_labelling(self, names):
+        # The limit is decided once per state, before its new states are
+        # ordered, so the 3 000 moves of one name are never labelled; doing
+        # that first took the tied chain's traced peak to 34 MiB.
+        leaves = ["a"] * 3000 if names == "tied" else [f"a{i}" for i in range(3000)]
+        e = parse_expression("||".join(leaves))
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateLimitExceeded) as info:
+                derive_automaton(e, max_states=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.limit, info.value.expanded, info.value.queued) == (10, 1, 9)
+        assert peak < 16 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
     def test_long_alternative_derives(self):
         e = parse_expression("+".join(f"a{i}" for i in range(450)))

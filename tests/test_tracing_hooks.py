@@ -1,7 +1,9 @@
 """The benchmark's traced run (``perfbench/run.py --trace 1``) replaces the
 library functions listed in ``perfbench.tracing.WRAPPED`` by name.  A rename
-or a moved import in ``starpar`` would break that run, and the benchmark's
-own smoke test is not part of this suite, so the names are checked here."""
+or a moved import in ``starpar`` would break that run.  This suite also
+collects the benchmark's smoke test (``testpaths`` in ``pyproject.toml``),
+whose traced cases would then fail inside a benchmark subprocess; checking
+the names here fails at once and names each one that no longer resolves."""
 
 import importlib
 
