@@ -28,6 +28,11 @@ Families:
   ``minimize``; a record is the pair, ``bisimilar``'s verdict, partition
   and sorted witness pairs, the second automaton's ``minimize`` and
   ``isomorphic``'s verdict and mapping.
+- ``terms``: random BPA, PA and ACP terms, and ``||``/``encap`` roots of
+  up to 60 leaves nested left, right and balanced; a record is the term's
+  rendering, ``terminates``, ``classify_theory``, ``oc_measure`` (or the
+  text of its ``UnsupportedExpression``) and the public ``step`` under one
+  of the tables, sorted as (action name, rendered target) pairs.
 
 ``python -m tests.corpus`` prints each family's digest and record count.
 ``python -m tests.corpus --write`` adds to ``tests/corpus_fingerprints.json``
@@ -60,15 +65,21 @@ from starpar import (
     Seq,
     Star,
     StateLimitExceeded,
+    Theory,
     Transition,
+    UnsupportedExpression,
     act,
     automaton_to_json,
     derive_automaton,
     bisimilar,
+    classify_theory,
     encode_fa,
     isomorphic,
     minimize,
+    oc_measure,
     render_expression,
+    step,
+    terminates,
     verify_encoding,
 )
 from tests.oracles import permute_automaton
@@ -272,11 +283,69 @@ def refinement_records() -> list[str]:
     return records
 
 
+# The operators each theory's terms draw from, besides the leaves.
+THEORY_OPS = {
+    Theory.BPA: ("seq", "alt", "star"),
+    Theory.PA: ("seq", "alt", "star", "par"),
+    Theory.ACP: ("seq", "alt", "star", "par", "encap"),
+}
+
+
+def _theory_term(rng: random.Random, depth: int, ops: tuple[str, ...]):
+    """A random term over ``ALPHABET`` built from the operators ``ops``."""
+    if depth == 0 or rng.random() < 0.3:
+        r = rng.random()
+        if r < 0.1:
+            return DEADLOCK if r < 0.05 else EMPTY
+        return act(rng.choice(ALPHABET))
+    op = rng.choice(ops)
+    if op == "star":
+        return Star(_theory_term(rng, depth - 1, ops))
+    if op == "encap":
+        return Encap(_blocked(rng), _theory_term(rng, depth - 1, ops))
+    left, right = _theory_term(rng, depth - 1, ops), _theory_term(rng, depth - 1, ops)
+    return {"seq": Seq, "alt": Alt, "par": Par}[op](left, right)
+
+
+def _term_record(e, gamma_id: str) -> str:
+    try:
+        oc = str(oc_measure(e))
+    except UnsupportedExpression as exc:
+        oc = f"unsupported: {exc}"
+    moves = sorted((a.name, render_expression(target)) for a, target in step(e, GAMMAS[gamma_id]))
+    return (
+        f"{render_expression(e)}\nterminates {terminates(e)} theory {classify_theory(e).value}"
+        f" oc {oc}\nstep {gamma_id} {moves}\n"
+    )
+
+
+def term_records() -> list[str]:
+    rng = random.Random(20261025)
+    gamma_ids = list(GAMMAS)
+    records = []
+    for i in range(1500):
+        theory = (Theory.BPA, Theory.PA, Theory.ACP)[i % 3]
+        ops = THEORY_OPS[theory]
+        gamma_id = gamma_ids[i % len(gamma_ids)]
+        if i % 10 >= 8:  # a ||/encap root over BPA leaves, one in four up to 60 wide
+            width = rng.randint(13, 60) if i % 40 >= 38 else rng.randint(2, 12)
+            leaves = [_theory_term(rng, rng.choice((0, 0, 1)), THEORY_OPS[Theory.BPA]) for _ in range(width)]
+            shape = ("left", "right", "balanced")[i // 10 % 3]
+            e = _spine(rng, leaves, shape, 0.15 if theory is Theory.ACP else 0.0)
+            if width > 12:  # a table would pair most of its leaves' moves
+                gamma_id = "none"
+        else:
+            e = _theory_term(rng, rng.randint(0, 5), ops)
+        records.append(_term_record(e, gamma_id))
+    return records
+
+
 FAMILIES = {
     "spines": spine_records,
     "roots": root_records,
     "encodings": encoding_records,
     "refinement": refinement_records,
+    "terms": term_records,
 }
 
 

@@ -1,9 +1,11 @@
 """The differential corpus of ``tests/corpus.py``, pinned by one sha256 per
 family.  The digests of ``spines``, ``roots`` and ``encodings`` were
-computed by the code before the spine product was rewritten, and that of
+computed by the code before the spine product was rewritten, that of
 ``refinement`` by the code before the state limit was decided once per
-state; none is edited to fit the code.  A failing family names its first
-record that moved and prints that record as it now reads."""
+state, and that of ``terms`` by the code before ``||``/``encap`` roots
+were rendered through the spine walk; none is edited to fit the code.  A
+failing family names its first record that moved and prints that record
+as it now reads."""
 
 import pytest
 
@@ -14,6 +16,7 @@ DIGESTS = {
     "roots": "0cb497b99c12f5e374c4c49cca72e0751abf5e4ebc43a6a52828cac7e3e6dc4e",
     "encodings": "edaa879eefa8821d5de431fcc2d1809b3e8c7a786e9dd228f8745967438d7d0d",
     "refinement": "18f40021626fcd5ab5fa98a170e8a722487b7146d0501e7acaf89ff7614ac946",
+    "terms": "da02385e3b3f64be15c373549fa05d6cfacca58644d64dacf94be4234fb280c6",
 }
 
 
