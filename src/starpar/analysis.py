@@ -353,6 +353,7 @@ _LEAVES = (
 )
 _BPA_OPS = ("seq", "alt", "star")
 _PA_OPS = ("seq", "alt", "star", "par")
+_BINARY_OPS = {"seq": Seq, "alt": Alt, "par": Par}
 
 
 def generate_random_expression(theory: Theory, max_depth: int, seed: int) -> Expression:
@@ -366,19 +367,23 @@ def generate_random_expression(theory: Theory, max_depth: int, seed: int) -> Exp
         raise ValueError(f"unsupported theory for generation: {theory}")
     ops = _BPA_OPS if theory is Theory.BPA else _PA_OPS
     rng = random.Random(seed)
-
-    def gen(depth: int) -> Expression:
-        if depth <= 0 or rng.random() < 0.5:
-            return rng.choice(_LEAVES)
-        op = rng.choice(ops)
-        if op == "star":
-            return Star(gen(depth - 1))
-        left = gen(depth - 1)
-        right = gen(depth - 1)
-        if op == "seq":
-            return Seq(left, right)
-        if op == "alt":
-            return Alt(left, right)
-        return Par(left, right)
-
-    return gen(max_depth)
+    # Depth-first with an explicit stack: an int is a subtree of that depth
+    # still to draw, an operator name builds its node from the finished
+    # operands on ``done``.  A node's draws come before its left subtree's,
+    # and the left subtree's before the right's.
+    done: list[Expression] = []
+    todo: list = [max_depth]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            if item == "star":
+                done.append(Star(done.pop()))
+            else:
+                right = done.pop()
+                done.append(_BINARY_OPS[item](done.pop(), right))
+        elif item <= 0 or rng.random() < 0.5:
+            done.append(rng.choice(_LEAVES))
+        else:
+            op = rng.choice(ops)
+            todo += [op, item - 1] if op == "star" else [op, item - 1, item - 1]
+    return done[0]

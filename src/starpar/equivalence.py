@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Iterable
 
 from .semantics import Automaton, Transition, _canonical_automaton, _transition
 
 
 def _coarsest_partition(
-    automata: tuple[Automaton, ...], seed: list[Hashable], counted: bool = False
+    automata: tuple[Automaton, ...], seed: list, counted: bool = False
 ) -> list[int]:
     """Relational coarsest partition of the disjoint union of ``automata``
     (one automaton's states after another's) refining the ``seed`` colouring.
@@ -26,14 +26,10 @@ def _coarsest_partition(
     block plus the multiset of (action name, successor block) pairs and the
     multiset of (action name, predecessor block) pairs, each a sorted tuple:
     colour refinement over labelled out- and in-edges, finer than
-    bisimilarity and still preserved by every isomorphism.  Its seed
-    colours are first renumbered by first occurrence, so that the sorts
-    compare names and ints only.
+    bisimilarity and still preserved by every isomorphism; its seed colours
+    must order, since the sorts compare them.
     """
     block = seed
-    if counted:
-        colours: dict[Hashable, int] = {}
-        block = [colours.setdefault(colour, len(colours)) for colour in seed]
     count = len(set(block))
     while True:
         remap: dict[tuple, int] = {}
@@ -182,8 +178,8 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
 
     Every isomorphism preserving the initial state maps each state into its
     own block of the counted refinement (colour refinement) of the disjoint
-    union over labelled out- and in-edges, seeded by (is initial,
-    terminates).  The automata are not isomorphic when the two halves' block
+    union over labelled out- and in-edges, seeded by ``2 * is initial +
+    terminates``.  The automata are not isomorphic when the two halves' block
     histograms differ; otherwise an iterative backtracking search tries, for
     each state in order, only the second automaton's states of its block,
     lowest index first, so the returned bijection is the lexicographically
@@ -202,7 +198,7 @@ def isomorphic(a: Automaton, b: Automaton) -> IsoResult:
     ):
         return IsoResult(False, None)
     n = a.n_states
-    seed = [(s == m.initial, s in m.terminating) for m in (a, b) for s in range(n)]
+    seed = [2 * (s == m.initial) + (s in m.terminating) for m in (a, b) for s in range(n)]
     block = _coarsest_partition((a, b), seed, counted=True)
     second = _second_by_block(block, n)
     if Counter(block[:n]) != {bid: len(states) for bid, states in second.items()}:

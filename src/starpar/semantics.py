@@ -39,8 +39,7 @@ from .syntax import (
     Par,
     Seq,
     Star,
-    _INFIX,
-    _PREC,
+    _flatten_spine,
     _wrap,
     parse_expression,
     render_expression,  # noqa: F401 - perfbench/tracing.py wraps the name here
@@ -103,19 +102,25 @@ class _Rules:
     dropped, so no id used as a key is reused while the call runs.  A node's
     termination flag is set in ``terminating`` once, as the node joins the
     table, from the flags of its children, which joined before it; nothing
-    computes it later.  A node's moves are a tuple of (action, canonical
-    target) pairs, no two with the same action name and target.  Each
-    child's moves already are, so only moves from different sources can
-    collide, and only three rules deduplicate, each always: ``+`` and ``.``
-    when its left side terminates, whose two sides may offer the same move,
-    and ``||``, where a left lift ``(a, l' || R)`` equals a right lift
-    ``(a, L || r')`` when each side has an ``a`` move back to itself and a
-    communication may equal a lift or another communication.  The step
-    memo only ever sees the one communication function it was built with.
-    Only ``step`` recurses, one frame per nesting level.
+    computes it later.  ``canonical`` records beside it, in ``bound``, an
+    upper bound on the number of states reachable from the node: 2 for an
+    action, the sum of the operands' bounds for ``.`` and ``+``, the body's
+    plus one for ``*``, the product for ``||``, the body's for ``encap`` and
+    1 for ``0`` and ``1``.  Only the nodes ``canonical`` adds have one, and
+    every call canonicalises its input before its first step, so each child
+    ``canonical`` meets has its bound.  A node's moves are a tuple of
+    (action, canonical target) pairs, no two with the same action name and
+    target.  Each child's moves already are, so only moves from different
+    sources can collide, and only three rules deduplicate, each always:
+    ``+`` and ``.`` when its left side terminates, whose two sides may offer
+    the same move, and ``||``, where a left lift ``(a, l' || R)`` equals a
+    right lift ``(a, L || r')`` when each side has an ``a`` move back to
+    itself and a communication may equal a lift or another communication.
+    The step memo only ever sees the one communication function it was
+    built with.  Only ``step`` recurses, one frame per nesting level.
     """
 
-    __slots__ = ("_partners", "_table", "_blocked", "terminating", "_steps")
+    __slots__ = ("_partners", "_table", "_blocked", "terminating", "bound", "_steps")
 
     def __init__(self, comm: CommFn):
         partners: dict[str, dict[str, Action]] = {}
@@ -125,6 +130,7 @@ class _Rules:
         self._blocked: dict[int, frozenset[str]] = {}
         self._table: dict[tuple, Expression] = {(Deadlock,): DEADLOCK, (Empty,): EMPTY}
         self.terminating: dict[int, bool] = {id(DEADLOCK): False, id(EMPTY): True}
+        self.bound: dict[int, int] = {id(DEADLOCK): 1, id(EMPTY): 1}
         self._steps: dict[int, tuple[tuple[Action, Expression], ...]] = {}
 
     def canonical(self, e: Expression) -> Expression:
@@ -136,6 +142,7 @@ class _Rules:
         of the DAG, as for ``==`` and ``hash``."""
         table = self._table
         terminating = self.terminating
+        bound = self.bound
         canon: dict[int, Expression] = {}
         for node in reversed(list(subterms(e))):
             kind = type(node)
@@ -153,6 +160,10 @@ class _Rules:
                         terminating[id(found)] = terminating[id(left)] or terminating[id(right)]
                     else:
                         terminating[id(found)] = terminating[id(left)] and terminating[id(right)]
+                    if kind is Par:
+                        bound[id(found)] = bound[id(left)] * bound[id(right)]
+                    else:
+                        bound[id(found)] = bound[id(left)] + bound[id(right)]
             elif kind is Star or kind is Encap:
                 body = canon[id(node.body)]
                 if kind is Star:
@@ -172,12 +183,14 @@ class _Rules:
                     else:
                         found = table[key] = Encap(node.blocked, body)
                     terminating[id(found)] = kind is Star or terminating[id(body)]
+                    bound[id(found)] = bound[id(body)] + (kind is Star)
             elif kind is Act:
                 key = (Act, node.action.name)
                 found = table.get(key)
                 if found is None:
                     found = table[key] = node
                     terminating[id(found)] = False
+                    bound[id(found)] = 2
             elif kind is Empty or kind is Deadlock:
                 found = table[(kind,)]
             else:
@@ -603,102 +616,6 @@ def _number(
     return [_transition((source, action, t)) for _, t, action in row]
 
 
-_PAR, _ENCAP = 0, 1  # _flatten_spine's end-of-node markers
-
-
-def _flatten_spine(
-    root: Expression, rendered: dict[int, str]
-) -> tuple[
-    list[Expression], list[int], list[str], list[int], list[list], list[int], list[list], list[int]
-]:
-    """The maximal ``||``/``encap`` spine under ``root``, walked once, left
-    to right, with an explicit stack.  The leaves are the maximal subterms
-    that are neither ``||`` nor ``encap``; each spine node holds a range of
-    them, ``[first, end)``, and the ranges nest.  Returns:
-
-    - the leaves, and the precedence each leaf's text is wrapped against;
-    - the root's label as a list of texts, ``render_memoised``'s pieces
-      around the leaves (``||``, the parentheses of a ``||`` right operand,
-      ``encap{..}(`` and its ``)``) with each leaf's wrapped text in a slot
-      of its own, and the slots' positions;
-    - each ``encap`` as ``[blocked names, first, end, enclosing encap]`` and
-      each leaf's innermost ``encap``;
-    - each ``||`` as ``[first, end, enclosing ||]`` and each leaf's nearest
-      ``||``.
-
-    An enclosing node is an index into its list, and -1 stands for none."""
-    leaves: list[Expression] = []
-    minimum: list[int] = []
-    parts: list[str] = []
-    slots: list[int] = []
-    encaps: list[list] = []
-    inner: list[int] = []
-    pars: list[list] = []
-    up: list[int] = []
-    encap = par = -1  # the innermost encap and || around the walk
-    stack: list = [(root, 0)]  # (node, precedence to wrap against), an end marker, or literal text
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        node, arg = item
-        kind = type(node)
-        if kind is int:  # (marker, record): the node's leaves are done
-            arg[-2] = len(leaves)
-            if node == _PAR:
-                par = arg[-1]
-            else:
-                encap = arg[-1]
-        elif kind is Par:
-            record = [len(leaves), 0, par]
-            par = len(pars)
-            pars.append(record)
-            prec = _PREC[Par]
-            operands = [(_PAR, record), (node.right, prec + 1), _INFIX[Par], (node.left, prec)]
-            stack += [")", *operands, "("] if arg > prec else operands
-        elif kind is Encap:
-            names = frozenset(a.name for a in node.blocked)
-            record = [names, len(leaves), 0, encap]
-            encap = len(encaps)
-            encaps.append(record)
-            stack += [")", (_ENCAP, record), (node.body, 0), f"encap{{{','.join(sorted(names))}}}("]
-        else:
-            leaves.append(node)
-            minimum.append(arg)
-            inner.append(encap)
-            up.append(par)
-            slots.append(len(parts))
-            parts.append(_wrap(render_memoised(node, rendered), node, arg))
-    return leaves, minimum, parts, slots, encaps, inner, pars, up
-
-
-def _state_bounds(rules: _Rules) -> dict[int, int]:
-    """An upper bound on the number of states reachable from each node of
-    ``rules``' table, keyed by node id: 2 for an action, the sum of the
-    operands' bounds for ``.`` and ``+``, the body's plus one for ``*``, the
-    product for ``||``, the body's for ``encap`` and 1 for ``0`` and ``1``.
-    A node joins the table after its children, so one pass in table order
-    finds each child's bound already set."""
-    bound: dict[int, int] = {}
-    for node in rules._table.values():
-        kind = type(node)
-        if kind is Act:
-            value = 2
-        elif kind is Seq or kind is Alt:
-            value = bound[id(node.left)] + bound[id(node.right)]
-        elif kind is Par:
-            value = bound[id(node.left)] * bound[id(node.right)]
-        elif kind is Star:
-            value = bound[id(node.body)] + 1
-        elif kind is Encap:
-            value = bound[id(node.body)]
-        else:  # 0 and 1
-            value = 1
-        bound[id(node)] = value
-    return bound
-
-
 def _meet(
     early: tuple,
     late: tuple,
@@ -753,10 +670,9 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     0, 1, ... as they are reached, and a state is the list of its leaves'
     numbers, keyed by one int in mixed radix: leaf ``i``'s digit has the
     stride of the product of the state bounds of the leaves before it,
-    which ``_state_bounds`` reads off the node table at set-up, while it
-    holds only the canonical root's nodes and before any step.  A move's
-    target key is the state's key plus the move's delta, so no target is
-    built below the root.
+    which ``_Rules.canonical`` recorded as the leaves joined the table.  A
+    move's target key is the state's key plus the move's delta, so no
+    target is built below the root.
 
     The spine is compiled once into synchronisation vectors: each
     ``encap`` and ``||`` holds a range of leaves, and a move passes the
@@ -786,7 +702,7 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     rendered: dict[int, str] = {}
     leaves, minimum, parts, slots, encaps, inner, pars, up = _flatten_spine(root, rendered)
     width = len(leaves)
-    bound = _state_bounds(rules)
+    bound = rules.bound
     bounds = [bound[id(leaf)] for leaf in leaves[:-1]]  # the last leaf's digit has nothing above it
     strides = list(accumulate(bounds, operator.mul, initial=1))
     partners = rules._partners

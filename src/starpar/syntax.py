@@ -300,7 +300,11 @@ def _wrap(text: str, node: Expression, minimum: int) -> str:
 
 
 def render_expression(e: Expression) -> str:
-    """Concrete syntax with minimal parentheses; ``parse(render(e)) == e``."""
+    """Concrete syntax with minimal parentheses; ``parse(render(e)) == e``.
+    A ``||`` or ``encap`` root is rendered through ``_flatten_spine``, so a
+    spine of any width renders and only its leaves recurse."""
+    if type(e) is Par or type(e) is Encap:
+        return "".join(_flatten_spine(e, {})[2])
     return render_memoised(e, {})
 
 
@@ -338,6 +342,77 @@ def render_memoised(e: Expression, memo: dict[int, str]) -> str:
         raise TypeError(f"not an expression: {e!r}")
     memo[id(e)] = text
     return text
+
+
+_PAR, _ENCAP = 0, 1  # _flatten_spine's end-of-node markers
+
+
+def _flatten_spine(
+    root: Expression, rendered: dict[int, str]
+) -> tuple[
+    list[Expression], list[int], list[str], list[int], list[list], list[int], list[list], list[int]
+]:
+    """The maximal ``||``/``encap`` spine under ``root``, walked once, left
+    to right, with an explicit stack.  The leaves are the maximal subterms
+    that are neither ``||`` nor ``encap``; each spine node holds a range of
+    them, ``[first, end)``, and the ranges nest.  Returns:
+
+    - the leaves, and the precedence each leaf's text is wrapped against;
+    - the root's text as a list of pieces, which ``render_expression``
+      and the spine product's labels join: ``render_memoised``'s pieces
+      around the leaves (``||``, the parentheses of a ``||`` right operand,
+      ``encap{..}(`` and its ``)``) with each leaf's wrapped text in a slot
+      of its own, and the slots' positions;
+    - each ``encap`` as ``[blocked names, first, end, enclosing encap]`` and
+      each leaf's innermost ``encap``;
+    - each ``||`` as ``[first, end, enclosing ||]`` and each leaf's nearest
+      ``||``.
+
+    An enclosing node is an index into its list, and -1 stands for none."""
+    leaves: list[Expression] = []
+    minimum: list[int] = []
+    parts: list[str] = []
+    slots: list[int] = []
+    encaps: list[list] = []
+    inner: list[int] = []
+    pars: list[list] = []
+    up: list[int] = []
+    encap = par = -1  # the innermost encap and || around the walk
+    stack: list = [(root, 0)]  # (node, precedence to wrap against), an end marker, or literal text
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, arg = item
+        kind = type(node)
+        if kind is int:  # (marker, record): the node's leaves are done
+            arg[-2] = len(leaves)
+            if node == _PAR:
+                par = arg[-1]
+            else:
+                encap = arg[-1]
+        elif kind is Par:
+            record = [len(leaves), 0, par]
+            par = len(pars)
+            pars.append(record)
+            prec = _PREC[Par]
+            operands = [(_PAR, record), (node.right, prec + 1), _INFIX[Par], (node.left, prec)]
+            stack += [")", *operands, "("] if arg > prec else operands
+        elif kind is Encap:
+            names = frozenset(a.name for a in node.blocked)
+            record = [names, len(leaves), 0, encap]
+            encap = len(encaps)
+            encaps.append(record)
+            stack += [")", (_ENCAP, record), (node.body, 0), f"encap{{{','.join(sorted(names))}}}("]
+        else:
+            leaves.append(node)
+            minimum.append(arg)
+            inner.append(encap)
+            up.append(par)
+            slots.append(len(parts))
+            parts.append(_wrap(render_memoised(node, rendered), node, arg))
+    return leaves, minimum, parts, slots, encaps, inner, pars, up
 
 
 # ---------------------------------------------------------------------------

@@ -329,7 +329,8 @@ def term_records() -> list[str]:
         gamma_id = gamma_ids[i % len(gamma_ids)]
         if i % 10 >= 8:  # a ||/encap root over BPA leaves, one in four up to 60 wide
             width = rng.randint(13, 60) if i % 40 >= 38 else rng.randint(2, 12)
-            leaves = [_theory_term(rng, rng.choice((0, 0, 1)), THEORY_OPS[Theory.BPA]) for _ in range(width)]
+            bpa = THEORY_OPS[Theory.BPA]
+            leaves = [_theory_term(rng, rng.choice((0, 0, 1)), bpa) for _ in range(width)]
             shape = ("left", "right", "balanced")[i // 10 % 3]
             e = _spine(rng, leaves, shape, 0.15 if theory is Theory.ACP else 0.0)
             if width > 12:  # a table would pair most of its leaves' moves

@@ -6,6 +6,7 @@ import pytest
 
 from starpar import (
     Action,
+    Alt,
     Automaton,
     ExitTransition,
     Par,
@@ -29,7 +30,9 @@ from starpar import (
     normed_states,
     oc_measure,
     parse_expression,
+    render_expression,
     scc_decompose,
+    Star,
     subterms,
 )
 from tests.samples import (
@@ -563,3 +566,31 @@ class TestGenerator:
     def test_rejects_acp(self):
         with pytest.raises(ValueError):
             generate_random_expression(Theory.ACP, 3, 0)
+
+    @staticmethod
+    def _recursive(theory, max_depth, seed):
+        """The generator as it was written recursively, kept frozen here."""
+        ops = ("seq", "alt", "star") if theory is Theory.BPA else ("seq", "alt", "star", "par")
+        leaves = (parse_expression("0"), parse_expression("1"), *map(act, "abcd"))
+        rng = random.Random(seed)
+
+        def gen(depth):
+            if depth <= 0 or rng.random() < 0.5:
+                return rng.choice(leaves)
+            op = rng.choice(ops)
+            if op == "star":
+                return Star(gen(depth - 1))
+            left = gen(depth - 1)
+            right = gen(depth - 1)
+            return {"seq": Seq, "alt": Alt, "par": Par}[op](left, right)
+
+        return gen(max_depth)
+
+    def test_draws_as_the_recursive_form(self):
+        """The iterative generator takes the random draws in the recursive
+        form's order (a node's, then its left subtree's, then its right
+        subtree's), so every (theory, depth, seed) gives the same term."""
+        triples = [(t, d, s) for t in (Theory.BPA, Theory.PA) for d in range(9) for s in range(125)]
+        for triple in triples:
+            expected = render_expression(self._recursive(*triple))
+            assert render_expression(generate_random_expression(*triple)) == expected, triple

@@ -1,13 +1,23 @@
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from starpar import automaton_from_json, automaton_to_json, derive_automaton, parse_expression
+from starpar import (
+    automaton_from_json,
+    automaton_to_json,
+    derive_automaton,
+    encode_fa,
+    parse_expression,
+    render_expression,
+)
 from starpar.cli import run
+from tests.corpus import connected_fa
 from tests.samples import INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, four_state_fa, communicating_gamma
 
 
@@ -227,6 +237,20 @@ class TestEncode:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert run(["encode", str(path), "-o", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("n", [1_100, 2_000])
+    def test_encode_writes_a_wide_spine(self, n, tmp_path, capsys):
+        """The encoding is one ``encap`` over an ``n``-wide ``||`` chain, and
+        its text is written whole: no recursion runs down the spine.  Text
+        is compared, since ``==`` on these trees recurses."""
+        fa = connected_fa(random.Random(n), n, 2)
+        path = tmp_path / "fa.json"
+        path.write_text(automaton_to_json(fa))
+        assert run(["encode", str(path), "-o", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        text = (tmp_path / "out" / "expression.txt").read_text()
+        assert text == render_expression(encode_fa(fa).expression) + "\n"
+        assert render_expression(parse_expression(text)) + "\n" == text
 
 
 class TestUsage:

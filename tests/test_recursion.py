@@ -11,7 +11,6 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpar"
 
 RECURSIVE = [
-    "analysis.generate_random_expression.gen",
     "semantics._Rules.step",
     "syntax._Parser._alternative",
     "syntax._Parser._atom",

@@ -47,7 +47,7 @@ from starpar import (
 )
 from tests.samples import TWO_EXIT_LOOP_EXPR, INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, communicating_gamma
 from starpar import analysis, semantics
-from starpar.semantics import _Rules, _state_bounds
+from starpar.semantics import _Rules
 from tests.oracles import acp_step, interleaving_step, naive_derive, random_connected_fa, rule_derivable
 
 a, b, c = act("a"), act("b"), act("c")
@@ -568,7 +568,7 @@ class TestStateBound:
         for e in terms:
             rules = _Rules(gamma)
             root = rules.canonical(e)
-            assert derive_automaton(e, gamma).n_states <= _state_bounds(rules)[id(root)]
+            assert derive_automaton(e, gamma).n_states <= rules.bound[id(root)]
 
 
 class TestAdjacencyCache:
