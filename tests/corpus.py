@@ -33,6 +33,14 @@ Families:
   rendering, ``terminates``, ``classify_theory``, ``oc_measure`` (or the
   text of its ``UnsupportedExpression``) and the public ``step`` under one
   of the tables, sorted as (action name, rendered target) pairs.
+- ``rejections``: ``validate_comm_fn``'s flags and violation texts on
+  handshaking, three-party and non-associative tables; ``load_comm_fn``'s
+  ``CommFnError`` texts on mutated table text; and ``automaton_from_json``'s
+  ``AutomatonFormatError`` texts on mutations of ``automaton_to_json``
+  output.  A mutation that still loads (a repeated rule, shuffled or
+  repeated transitions) records what was loaded.  The ``invalid JSON``
+  texts are left out: ``json`` words them differently between Python
+  versions.
 
 ``python -m tests.corpus`` prints each family's digest and record count.
 ``python -m tests.corpus --write`` adds to ``tests/corpus_fingerprints.json``
@@ -59,7 +67,9 @@ from starpar import (
     Action,
     Alt,
     Automaton,
+    AutomatonFormatError,
     CommFn,
+    CommFnError,
     Encap,
     Par,
     Seq,
@@ -69,17 +79,21 @@ from starpar import (
     Transition,
     UnsupportedExpression,
     act,
+    automaton_from_json,
     automaton_to_json,
     derive_automaton,
     bisimilar,
     classify_theory,
+    dump_comm_fn,
     encode_fa,
     isomorphic,
+    load_comm_fn,
     minimize,
     oc_measure,
     render_expression,
     step,
     terminates,
+    validate_comm_fn,
     verify_encoding,
 )
 from tests.oracles import permute_automaton
@@ -341,12 +355,169 @@ def term_records() -> list[str]:
     return records
 
 
+def _random_table(rng: random.Random, kind: str) -> CommFn:
+    """A table of one of three kinds: ``handshaking`` (no result is an
+    argument), ``three_party`` (chains ``x y -> z``, ``z w -> v``, whose
+    results communicate again) or ``mixed`` (results drawn from the
+    arguments, so associativity and handshaking mostly fail)."""
+    names = [f"a{k}" for k in range(rng.randint(2, 6))]
+    triples = {}
+    for _ in range(rng.randint(1, 8)):
+        x, y = rng.choice(names), rng.choice(names)
+        if kind == "handshaking":
+            z = f"r{rng.randrange(3)}"
+        elif kind == "three_party":
+            z = f"c{len(triples)}"
+            names.append(z)
+        else:
+            z = rng.choice(names)
+        triples.setdefault(tuple(sorted((x, y))), z)
+    return CommFn((Action(x), Action(y), Action(z)) for (x, y), z in triples.items())
+
+
+def _validation_record(kind: str, g: CommFn) -> str:
+    v = validate_comm_fn(g)
+    return (
+        f"validate {kind}\n{dump_comm_fn(g)}associative {v.associative}"
+        f" handshaking {v.handshaking}\n" + "".join(f"{m}\n" for m in v.violations)
+    )
+
+
+def _loaded_table(text: str) -> str:
+    try:
+        return "ok\n" + dump_comm_fn(load_comm_fn(text))
+    except CommFnError as exc:
+        return f"error {exc}\n"
+
+
+# Ways to spoil one line ``x y -> z`` of a table; each takes the rng, the
+# three names and the table's other names.
+_TABLE_LINE_MUTATIONS = {
+    "no arrow": lambda rng, x, y, z: f"{x} {y} {z}",
+    "extra name": lambda rng, x, y, z: f"{x} {y} {z} -> {z}",
+    "one argument": lambda rng, x, y, z: f"{x} -> {z}",
+    "two results": lambda rng, x, y, z: f"{x} {y} -> {z} {x}",
+    "reserved argument": lambda rng, x, y, z: f"encap {y} -> {z}",
+    "reserved result": lambda rng, x, y, z: f"{x} {y} -> encap",
+    "bad character": lambda rng, x, y, z: f"{x}-{rng.randrange(9)} {y} -> {z}",
+    "leading digit": lambda rng, x, y, z: f"{x} {y} -> {rng.randrange(9)}{z}",
+    "conflict": lambda rng, x, y, z: f"{y} {x} -> {z}_{rng.randrange(9)}",
+    "repeated swapped": lambda rng, x, y, z: f"{y}\t{x}->{z}",
+    "comment": lambda rng, x, y, z: f"  # {x} {y} -> nothing",
+    "trailing comment": lambda rng, x, y, z: f"{x} {y} -> {z} # again",
+}
+
+
+def _table_text_records(rng: random.Random, g: CommFn) -> list[str]:
+    lines = dump_comm_fn(g).splitlines()
+    records = []
+    for name, mutate in _TABLE_LINE_MUTATIONS.items():
+        i = rng.randrange(len(lines))
+        x, y, _, z = lines[i].split()
+        spoiled = lines.copy()
+        spoiled.insert(rng.randint(i + 1, len(lines)) if name == "conflict" else i, mutate(rng, x, y, z))
+        if rng.random() < 0.3:
+            spoiled.insert(rng.randint(0, len(spoiled)), "")
+        text = "\n".join(spoiled) + "\n"
+        records.append(f"load {name}\n{text}-> {_loaded_table(text)}")
+    return records
+
+
+def _loaded_automaton(obj) -> str:
+    try:
+        return "ok\n" + automaton_to_json(automaton_from_json(json.dumps(obj)))
+    except AutomatonFormatError as exc:
+        return f"error {exc}\n"
+
+
+# Values of the wrong type for an id, a label, a flag or an action name.
+_WRONG = ("1", 1.0, True, None, [0], {"id": 0})
+
+
+def _automaton_mutations(rng: random.Random, obj: dict) -> dict[str, object]:
+    """Named mutations of the JSON object of an automaton, each of a copy."""
+    n = len(obj["states"])
+    s = rng.randrange(n)
+    mutations: dict[str, object] = {}
+
+    def put(name: str, change) -> None:
+        copy = json.loads(json.dumps(obj))
+        change(copy)
+        mutations[name] = copy
+
+    for key in ("states", "initial", "transitions"):
+        put(f"drop {key}", lambda o, key=key: o.pop(key))
+    mutations["top level array"] = [obj]
+    put("states empty", lambda o: o.update(states=[]))
+    put("states an object", lambda o: o.update(states=o["states"][0]))
+    put("state not an object", lambda o: o["states"].__setitem__(s, rng.choice((s, "s", None))))
+    put("state id dropped", lambda o: o["states"][s].pop("id"))
+    put("state id wrong type", lambda o: o["states"][s].update(id=rng.choice(_WRONG)))
+    put("state id out of range", lambda o: o["states"][s].update(id=rng.choice((n, -1, 10 * n))))
+    if n > 1:
+        put("state id repeated", lambda o: o["states"][s].update(id=(s + 1) % n))
+    put("label wrong type", lambda o: o["states"][s].update(label=rng.choice((7, ["p"], True))))
+    put("label dropped", lambda o: o["states"][s].pop("label", None))
+    put("terminating wrong type", lambda o: o["states"][s].update(terminating=rng.choice((0, 1, "yes"))))
+    put("terminating null", lambda o: o["states"][s].update(terminating=None))
+    put("initial wrong type", lambda o: o.update(initial=rng.choice(_WRONG)))
+    put("initial out of range", lambda o: o.update(initial=rng.choice((n, -1))))
+    put("transitions an object", lambda o: o.update(transitions={"from": 0}))
+    if obj["transitions"]:
+        t = rng.randrange(len(obj["transitions"]))
+
+        def edge(change):
+            return lambda o: change(o["transitions"][t])
+
+        put("transition not an object", edge(lambda e: e.clear() or e.update(x=[0])))
+        put("transition a list", lambda o: o["transitions"].__setitem__(t, [0, "a", 0]))
+        for key in ("from", "action", "to"):
+            put(f"transition {key} dropped", edge(lambda e, key=key: e.pop(key)))
+            put(f"transition {key} wrong type", edge(lambda e, key=key: e.update({key: rng.choice(_WRONG)})))
+        for key in ("from", "to"):
+            put(f"transition {key} out of range", edge(lambda e, key=key: e.update({key: rng.choice((n, -1))})))
+        for bad in ("", "1a", "a b", "encap", "a-b"):
+            put(f"action {bad!r}", edge(lambda e, bad=bad: e.update(action=bad)))
+        put("transitions shuffled", lambda o: rng.shuffle(o["transitions"]))
+        put("transition repeated", lambda o: o["transitions"].insert(
+            rng.randint(0, len(o["transitions"])), dict(o["transitions"][t])))
+        put("transitions reversed", lambda o: o["transitions"].reverse())
+    return mutations
+
+
+def rejection_records() -> list[str]:
+    rng = random.Random(20261026)
+    records = []
+    tables = []
+    for i in range(150):
+        kind = ("handshaking", "three_party", "mixed")[i % 3]
+        g = _random_table(rng, kind)
+        tables.append(g)
+        records.append(_validation_record(kind, g))
+    for g in tables[:60]:
+        records += _table_text_records(rng, g)
+    for k in range(40):
+        if k % 2:
+            a = connected_fa(rng, rng.randint(1, 6), rng.randint(1, 2))
+        else:
+            e = _term(rng, 3)
+            try:
+                a = derive_automaton(e, GAMMAS[rng.choice(list(GAMMAS))], 8)
+            except StateLimitExceeded:
+                a = derive_automaton(act(rng.choice(ALPHABET)))
+        obj = json.loads(automaton_to_json(a))
+        for name, mutated in _automaton_mutations(rng, obj).items():
+            records.append(f"read {name}\n{json.dumps(mutated)}\n-> {_loaded_automaton(mutated)}")
+    return records
+
+
 FAMILIES = {
     "spines": spine_records,
     "roots": root_records,
     "encodings": encoding_records,
     "refinement": refinement_records,
     "terms": term_records,
+    "rejections": rejection_records,
 }
 
 

@@ -2,8 +2,10 @@
 family.  The digests of ``spines``, ``roots`` and ``encodings`` were
 computed by the code before the spine product was rewritten, that of
 ``refinement`` by the code before the state limit was decided once per
-state, and that of ``terms`` by the code before ``||``/``encap`` roots
-were rendered through the spine walk; none is edited to fit the code.  A
+state, that of ``terms`` by the code before ``||``/``encap`` roots
+were rendered through the spine walk, and that of ``rejections`` by the
+code before the SOS rules lifted moves through one interning step; none
+is edited to fit the code.  A
 failing family names its first record that moved and prints that record
 as it now reads."""
 
@@ -17,6 +19,7 @@ DIGESTS = {
     "encodings": "edaa879eefa8821d5de431fcc2d1809b3e8c7a786e9dd228f8745967438d7d0d",
     "refinement": "18f40021626fcd5ab5fa98a170e8a722487b7146d0501e7acaf89ff7614ac946",
     "terms": "da02385e3b3f64be15c373549fa05d6cfacca58644d64dacf94be4234fb280c6",
+    "rejections": "3edca04dbaa848aefe69949f774b220d0e4290c678e9623a588e472e85adf30d",
 }
 
 
@@ -43,3 +46,21 @@ def test_refinement_pairs_take_both_verdicts():
     assert verdicts.count("shuffledTrue") == verdicts.count("minimizedTrue") == len(records) // 3
     assert 0 < verdicts.count("mutatedTrue") < verdicts.count("mutatedFalse")
     assert sum("isomorphic False" in r for r in records if r.startswith("minimized")) > 50
+
+
+def test_rejections_cover_each_reader_and_load_reordered_transitions():
+    records = corpus.rejection_records()
+    outcome = {}
+    for r in records:
+        head = r.split("\n", 1)[0]
+        if head.startswith(("load ", "read ")):
+            outcome.setdefault(head, set()).add(r.rsplit("\n-> ", 1)[1].split(None, 1)[0])
+    for head in ("read transitions shuffled", "read transitions reversed", "read transition repeated"):
+        assert outcome[head] == {"ok"}
+    assert outcome["load repeated swapped"] == {"ok"}
+    assert outcome["load conflict"] == outcome["read action 'encap'"] == {"error"}
+    validated = [r for r in records if r.startswith("validate ")]
+    flags = {r.split("\n", 1)[0] + r.split("associative ", 1)[1].split("\n", 1)[0] for r in validated}
+    assert "validate handshakingTrue handshaking True" in flags
+    assert "validate mixedFalse handshaking False" in flags
+    assert "validate three_partyFalse handshaking False" in flags
