@@ -107,13 +107,12 @@ def _tarjan(a: Automaton) -> SccDecomposition:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
 
-    looped = {s for s, row in enumerate(adjacency) for _, t in row if t == s}
     component_of = [0] * n
     trivial = []
     for cid, members in enumerate(components):
         for s in members:
             component_of[s] = cid
-        trivial.append(len(members) == 1 and members[0] not in looped)
+        trivial.append(len(members) == 1 and all(t != members[0] for _, t in adjacency[members[0]]))
     return SccDecomposition(
         component_of=tuple(component_of),
         members=tuple(tuple(m) for m in components),

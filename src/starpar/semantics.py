@@ -89,14 +89,17 @@ class _Rules:
     ``encap`` root (see ``_derive_product``): the states of any other root,
     the states of a spine's leaves, ``||`` below ``.``, ``+`` or ``*`` among
     them, and the argument of the public ``step``.  ``canonical`` and
-    ``step`` dispatch on ``type(node)``, most frequent kind first, and the
-    lifting loops of ``.``, ``*``, ``||`` and ``encap`` look the table up
-    inline, with no call.  The communication function is indexed by action
-    name, each name mapping its partners' names to the result, so a left
-    move whose name has no partner skips the right side's moves.  An
-    ``encap`` tests its moves' names against its blocked names, which
-    ``_blocked`` keeps per ``id()`` of each blocked set the table holds, so
-    no rule hashes or compares an ``Action``.
+    ``step`` dispatch on ``type(node)``, most frequent kind first.  The
+    rules for ``.``, ``*`` and ``||`` lift a premise's moves through
+    ``_lift``, one call per list of moves, which looks each lifted node up
+    in the table or adds it with its termination flag; ``encap`` filters
+    its body's moves and interns the survivors inline, keyed by its blocked
+    names.  The communication function is indexed by action name, each
+    name mapping its partners' names to the result, so a left move whose
+    name has no partner skips the right side's moves.  An ``encap`` tests
+    its moves' names against its blocked names, which ``_blocked`` keeps
+    per ``id()`` of each blocked set the table holds, so no rule hashes or
+    compares an ``Action``.
 
     Invariant: the table holds every canonical node until the instance is
     dropped, so no id used as a key is reused while the call runs.  A node's
@@ -211,75 +214,28 @@ class _Rules:
             right = e.right
             lsteps = self.step(left)
             rsteps = self.step(right)
-            found = []
-            right_id = id(right)
-            right_ends = terminating[right_id]
-            for a, left2 in lsteps:
-                key = (Par, id(left2), right_id)
-                node = table.get(key)
-                if node is None:
-                    node = table[key] = Par(left2, right)
-                    terminating[id(node)] = terminating[id(left2)] and right_ends
-                found.append((a, node))
-            left_id = id(left)
-            left_ends = terminating[left_id]
-            for b, right2 in rsteps:
-                key = (Par, left_id, id(right2))
-                node = table.get(key)
-                if node is None:
-                    node = table[key] = Par(left, right2)
-                    terminating[id(node)] = left_ends and terminating[id(right2)]
-                found.append((b, node))
+            found = self._lift(lsteps, Par, None, right)
+            found += self._lift(rsteps, Par, left, None)
             all_partners = self._partners
             if all_partners:
                 for a, left2 in lsteps:
                     partners = all_partners.get(a.name)
-                    if partners is None:
-                        continue
-                    for b, right2 in rsteps:
-                        c = partners.get(b.name)
-                        if c is None:
-                            continue
-                        key = (Par, id(left2), id(right2))
-                        node = table.get(key)
-                        if node is None:
-                            node = table[key] = Par(left2, right2)
-                            terminating[id(node)] = (
-                                terminating[id(left2)] and terminating[id(right2)]
-                            )
-                        found.append((c, node))
+                    if partners is not None:
+                        synced = [(c, right2) for b, right2 in rsteps
+                                  if (c := partners.get(b.name)) is not None]
+                        found += self._lift(synced, Par, left2, None)
             moves = _distinct(found)
         elif kind is Seq:
-            left = e.left
-            right = e.right
-            found = []
-            right_id = id(right)
-            right_ends = terminating[right_id]
-            for a, left2 in self.step(left):
-                key = (Seq, id(left2), right_id)
-                node = table.get(key)
-                if node is None:
-                    node = table[key] = Seq(left2, right)
-                    terminating[id(node)] = terminating[id(left2)] and right_ends
-                found.append((a, node))
-            if terminating[id(left)]:
-                found += self.step(right)
+            found = self._lift(self.step(e.left), Seq, None, e.right)
+            if terminating[id(e.left)]:
+                found += self.step(e.right)
                 moves = _distinct(found)
             else:
                 moves = tuple(found)
         elif kind is Alt:
             moves = _distinct(self.step(e.left) + self.step(e.right))
         elif kind is Star:
-            found = []
-            e_id = id(e)
-            for a, body2 in self.step(e.body):
-                key = (Seq, id(body2), e_id)
-                node = table.get(key)
-                if node is None:
-                    node = table[key] = Seq(body2, e)
-                    terminating[id(node)] = terminating[id(body2)]
-                found.append((a, node))
-            moves = tuple(found)
+            moves = tuple(self._lift(self.step(e.body), Seq, None, e))
         elif kind is Act:
             moves = ((e.action, EMPTY),)
         elif kind is Encap:
@@ -299,6 +255,30 @@ class _Rules:
             moves = ()
         steps[id(e)] = moves
         return moves
+
+    def _lift(
+        self, moves, kind: type, left: Expression | None, right: Expression | None
+    ) -> list[tuple[Action, Expression]]:
+        """The premise moves ``moves`` of one operand, lifted into a ``kind``
+        node whose other operand stays fixed: ``left`` or ``right`` is that
+        operand, and None marks the side the moves fill.  Each (action,
+        operand') becomes (action, the canonical node of that kind over
+        operand' and the fixed operand); a node not yet in the table joins
+        it, terminating when both its operands do."""
+        table = self._table
+        terminating = self.terminating
+        fixed = left if right is None else right
+        fixed_id = id(fixed)
+        ends = terminating[fixed_id]
+        lifted = []
+        for a, moved in moves:
+            key = (kind, fixed_id, id(moved)) if right is None else (kind, id(moved), fixed_id)
+            node = table.get(key)
+            if node is None:
+                node = table[key] = kind(fixed, moved) if right is None else kind(moved, fixed)
+                terminating[id(node)] = ends and terminating[id(moved)]
+            lifted.append((a, node))
+        return lifted
 
 
 def _distinct(moves) -> tuple[tuple[Action, Expression], ...]:
@@ -587,17 +567,23 @@ def _number(
     label, action, target key, entry).  The limit is decided first, once per
     state: if the distinct keys of ``new`` do not all fit in ``max_states``,
     StateLimitExceeded is raised before any is numbered or ordered, with
-    ``source + 1`` states expanded and the rest queued.  The new moves are
-    numbered in (name, label) order: a target not yet in ``index`` gets the
-    next index, its label goes to ``labels`` and its entry to ``pending``,
-    where states wait in index order.  A move may come without its label
-    (None), which the caller then renders when it takes the state from
-    ``pending``; only where two new moves share a name does
+    ``source + 1`` states expanded and the rest queued.  The count stops at
+    the first key that does not fit, so the wide int keys of a spine
+    product are hashed at most once per free slot, plus one.  The new moves
+    are numbered in (name, label) order: a target not yet in ``index`` gets
+    the next index, its label goes to ``labels`` and its entry to
+    ``pending``, where states wait in index order.  A move may come without
+    its label (None), which the caller then renders when it takes the state
+    from ``pending``; only where two new moves share a name does
     ``label_of(entry)`` render their labels here, for the order.  Two new
     moves may share a target, so each looks ``index`` up again."""
     room = max_states - len(index)
-    if len(new) > room and len({move[3] for move in new}) > room:
-        raise StateLimitExceeded(max_states, source + 1, max_states - source - 1)
+    if len(new) > room:
+        distinct = set()
+        for move in new:
+            distinct.add(move[3])
+            if len(distinct) > room:
+                raise StateLimitExceeded(max_states, source + 1, max_states - source - 1)
     if len(new) > 1:
         if label_of is not None and len(set(map(_by_name, new))) < len(new):
             count = Counter(map(_by_name, new))

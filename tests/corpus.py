@@ -1,14 +1,16 @@
-"""A seeded differential corpus: derive and encoding output on generated
-inputs, one text record per input, grouped in families.
+"""A seeded differential corpus: derive, encoding, refinement and
+rejection output on generated inputs, one text record per input, grouped
+in families.
 
-``tests/test_corpus.py`` pins one sha256 per family.  The digests were
-computed once, by the code before the spine product was rewritten around
-synchronisation vectors, and are never edited to fit the code: a change
-whose output differs needs a decision of its own.  Every record is built
-from ``automaton_to_json``, rendered expressions and plain ints, never from
-the ``repr`` of a set, so no digest depends on ``PYTHONHASHSEED``.  The
-generators here use only ``random.Random`` with fixed seeds and import
-nothing from ``perfbench/``, so the corpus does not move with the bench.
+``tests/test_corpus.py`` pins one sha256 per family.  Each digest was
+computed once, by the code before the change the family was added to
+guard, and is never edited to fit the code: a change whose output differs
+needs a decision of its own.  Every record is built from
+``automaton_to_json``, rendered expressions, error texts and plain ints,
+never from the ``repr`` of a set, so no digest depends on
+``PYTHONHASHSEED``.  The generators here use only ``random.Random`` with
+fixed seeds and import nothing from ``perfbench/``, so the corpus does not
+move with the bench.
 
 Families:
 

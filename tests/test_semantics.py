@@ -40,6 +40,7 @@ from starpar import (
     isomorphic,
     minimize,
     parse_expression,
+    render_expression,
     scc_decompose,
     state_expressions,
     step,
@@ -760,6 +761,16 @@ class TestCanonicalNodes:
         built = {e.left.left.left, e.left.left.right, e.left.right}
         assert {t for _, t in rules.step(e.right)} == built
         assert {id(t) for _, t in rules.step(e.right)} == {id(t) for t in built}
+        # every state the . and * lifts and a communication below . reach
+        for text in ("(a.b)*", "a.b.c", "(a||b).c"):
+            rules = _Rules(gamma)
+            seen = [rules.canonical(parse_expression(text))]
+            for state in seen:  # the loop sees states appended below
+                for _, target in rules.step(state):
+                    assert rules.canonical(parse_expression(render_expression(target))) is target
+                    if all(target is not other for other in seen):
+                        seen.append(target)
+            assert len(seen) == {"(a.b)*": 3, "a.b.c": 4, "(a||b).c": 5}[text]
 
     def test_public_step_and_terminates_on_copied_subterms(self):
         for seed in range(150):
@@ -837,6 +848,25 @@ class TestDeepNesting:
         e = parse_expression("+".join(f"a{i}" for i in range(450)))
         auto = derive_automaton(e, max_states=10)
         assert auto.n_states == 2 and len(auto.transitions) == 450
+
+
+class TestNumberLimit:
+    def test_limit_hashes_only_the_keys_that_fit(self):
+        # A spine product's keys are ints as wide as its state space; the
+        # limit test stops counting them at the first one that does not fit.
+        hashes = []
+
+        class Key(int):
+            def __hash__(self):
+                hashes.append(self)
+                return int.__hash__(self)
+
+        a = Action("a")
+        new = [("a", None, a, Key(k), None) for k in range(1, 5001)]
+        with pytest.raises(StateLimitExceeded) as info:
+            semantics._number(0, [], new, {0: 0}, ["x"], [None], 10)
+        assert (info.value.limit, info.value.expanded, info.value.queued) == (10, 1, 9)
+        assert len(hashes) <= 10
 
 
 class TestAutomatonValue:
