@@ -392,8 +392,8 @@ def _loaded_table(text: str) -> str:
         return f"error {exc}\n"
 
 
-# Ways to spoil one line ``x y -> z`` of a table; each takes the rng, the
-# three names and the table's other names.
+# Ways to spoil one line ``x y -> z`` of a table; each takes the rng and
+# the line's three names.
 _TABLE_LINE_MUTATIONS = {
     "no arrow": lambda rng, x, y, z: f"{x} {y} {z}",
     "extra name": lambda rng, x, y, z: f"{x} {y} {z} -> {z}",
@@ -432,7 +432,7 @@ def _loaded_automaton(obj) -> str:
         return f"error {exc}\n"
 
 
-# Values of the wrong type for an id, a label, a flag or an action name.
+# Values of the wrong type for a state id or an action name.
 _WRONG = ("1", 1.0, True, None, [0], {"id": 0})
 
 
@@ -471,7 +471,7 @@ def _automaton_mutations(rng: random.Random, obj: dict) -> dict[str, object]:
         def edge(change):
             return lambda o: change(o["transitions"][t])
 
-        put("transition not an object", edge(lambda e: e.clear() or e.update(x=[0])))
+        put("transition keys replaced", edge(lambda e: e.clear() or e.update(x=[0])))
         put("transition a list", lambda o: o["transitions"].__setitem__(t, [0, "a", 0]))
         for key in ("from", "action", "to"):
             put(f"transition {key} dropped", edge(lambda e, key=key: e.pop(key)))

@@ -19,7 +19,7 @@ DIGESTS = {
     "encodings": "edaa879eefa8821d5de431fcc2d1809b3e8c7a786e9dd228f8745967438d7d0d",
     "refinement": "18f40021626fcd5ab5fa98a170e8a722487b7146d0501e7acaf89ff7614ac946",
     "terms": "da02385e3b3f64be15c373549fa05d6cfacca58644d64dacf94be4234fb280c6",
-    "rejections": "3edca04dbaa848aefe69949f774b220d0e4290c678e9623a588e472e85adf30d",
+    "rejections": "f7f9cbccd6c054f6744697b6fe2d40a99c57ed58cbd158f43ff2dd32eba1724d",
 }
 
 
