@@ -43,6 +43,11 @@ Families:
   repeated transitions) records what was loaded.  The ``invalid JSON``
   texts are left out: ``json`` words them differently between Python
   versions.
+- ``relays``: random ``||``/``encap`` spines of 3 to 6 leaves under two
+  tables of their own, in which one communication's result meets another
+  result or a leaf and communicates again; ``encap`` nodes block the
+  result names more often than the leaf actions.  A record is the
+  automaton's JSON or the ``StateLimitExceeded`` fields.
 
 ``python -m tests.corpus`` prints each family's digest and record count.
 ``python -m tests.corpus --write`` adds to ``tests/corpus_fingerprints.json``
@@ -151,11 +156,11 @@ def _term(rng: random.Random, depth: int, inner: bool = False):
     return {"seq": Seq, "alt": Alt, "par": Par}[op](left, right)
 
 
-def _spine(rng: random.Random, leaves: list, shape: str, encaps: float):
+def _spine(rng: random.Random, leaves: list, shape: str, encaps: float, blocked=_blocked):
     """``leaves`` joined by ``||`` in the given shape, with an ``encap`` of a
-    random blocked set around each spine node with probability ``encaps``."""
+    ``blocked(rng)`` set around each spine node with probability ``encaps``."""
     def wrap(node):
-        return Encap(_blocked(rng), node) if rng.random() < encaps else node
+        return Encap(blocked(rng), node) if rng.random() < encaps else node
 
     nodes = [wrap(leaf) for leaf in leaves]
     if shape == "left":
@@ -172,10 +177,10 @@ def _spine(rng: random.Random, leaves: list, shape: str, encaps: float):
     return nodes[0]
 
 
-def _derive_record(e, gamma_id: str, limit: int) -> str:
+def _derive_record(e, gamma_id: str, limit: int, tables: dict[str, CommFn] = GAMMAS) -> str:
     head = f"{render_expression(e)} / {gamma_id} / {limit}\n"
     try:
-        return head + automaton_to_json(derive_automaton(e, GAMMAS[gamma_id], limit))
+        return head + automaton_to_json(derive_automaton(e, tables[gamma_id], limit))
     except StateLimitExceeded as exc:
         return head + f"limit {exc.limit} expanded {exc.expanded} queued {exc.queued}\n"
 
@@ -191,6 +196,35 @@ def spine_records() -> list[str]:
             e = Encap(_blocked(rng), e)
         limit = rng.choice(LIMITS)
         records += [_derive_record(e, gamma_id, limit) for gamma_id in GAMMAS]
+    return records
+
+
+# id -> a table in which two results meet ("c s -> t") or a result of a
+# result meets a leaf ("e a -> s"); GAMMAS has neither.
+RELAYS = {
+    "a_b_c_d_e_s_c_s_t": _rules("a b c", "d e s", "c s t"),
+    "a_b_c_c_d_e_e_a_s": _rules("a b c", "c d e", "e a s"),
+}
+
+
+def _relay_blocked(rng: random.Random) -> frozenset[Action]:
+    return frozenset(Action(name) for name in "abcdest" if rng.random() < (0.45 if name in "cest" else 0.1))
+
+
+def relay_records() -> list[str]:
+    """Two results can meet only if they formed in disjoint subtrees, which
+    a left or right chain has none of, so balanced and random shapes come
+    twice as often here; half the spines get an ``encap`` at the root."""
+    rng = random.Random(20261027)
+    records = []
+    for i in range(300):
+        shape = ("left", "right", "balanced", "random", "balanced", "random")[i % 6]
+        leaves = [_term(rng, rng.choice((1, 2))) for _ in range(rng.randint(3, 6))]
+        e = _spine(rng, leaves, shape, rng.choice((0.0, 0.3, 0.5)), _relay_blocked)
+        if rng.random() < 0.5 and type(e) is not Encap:
+            e = Encap(_relay_blocked(rng), e)
+        limit = rng.choice((40, 400))
+        records += [_derive_record(e, table_id, limit, RELAYS) for table_id in RELAYS]
     return records
 
 
@@ -520,6 +554,7 @@ FAMILIES = {
     "refinement": refinement_records,
     "terms": term_records,
     "rejections": rejection_records,
+    "relays": relay_records,
 }
 
 

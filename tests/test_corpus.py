@@ -4,8 +4,9 @@ computed by the code before the spine product was rewritten, that of
 ``refinement`` by the code before the state limit was decided once per
 state, that of ``terms`` by the code before ``||``/``encap`` roots
 were rendered through the spine walk, and that of ``rejections`` by the
-code before the SOS rules lifted moves through one interning step; none
-is edited to fit the code.  A
+code before the SOS rules lifted moves through one interning step, and
+that of ``relays`` by the code before each spine communication was
+decided with one ``encap`` walk; none is edited to fit the code.  A
 failing family names its first record that moved and prints that record
 as it now reads."""
 
@@ -20,6 +21,7 @@ DIGESTS = {
     "refinement": "18f40021626fcd5ab5fa98a170e8a722487b7146d0501e7acaf89ff7614ac946",
     "terms": "da02385e3b3f64be15c373549fa05d6cfacca58644d64dacf94be4234fb280c6",
     "rejections": "f7f9cbccd6c054f6744697b6fe2d40a99c57ed58cbd158f43ff2dd32eba1724d",
+    "relays": "27a96fa6480ee27bf33efd078236d82b67637c9fa09af15bc8bd523738270778",
 }
 
 
@@ -38,6 +40,16 @@ def test_spines_reach_the_limit_and_communicate():
     by_term = [records[i:i + k] for i in range(0, len(records), k)]
     changed = sum(len({r.split("\n", 1)[1] for r in group}) > 1 for group in by_term)
     assert changed > 100
+
+
+def test_relays_let_results_meet_and_reach_the_limit():
+    records = corpus.relay_records()
+    by_table = {table_id: [r for r in records if f" / {table_id} / " in r.split("\n", 1)[0]]
+                for table_id in corpus.RELAYS}
+    two_results, result_and_leaf = by_table.values()
+    assert sum('"action": "t"' in r for r in two_results) > 10  # c s -> t
+    assert sum('"action": "s"' in r for r in result_and_leaf) > 50  # e a -> s
+    assert 50 < sum("\nlimit " in r for r in records) < len(records) // 4
 
 
 def test_refinement_pairs_take_both_verdicts():
