@@ -602,49 +602,6 @@ def _number(
     return [_transition((source, action, t)) for _, t, action in row]
 
 
-def _meet(
-    early: tuple,
-    late: tuple,
-    c: Action,
-    again: bool,
-    encaps: list[list],
-    pars: list[list],
-    width: int,
-) -> tuple[tuple | None, tuple | None]:
-    """The communication ``c`` of two sync candidates that reach each other,
-    as a move if no ``encap`` above the ``||`` where they meet blocks it,
-    and, when ``again`` (``c`` is itself an argument of the communication
-    function), as a candidate placed at that ``||``; None where it is not.
-
-    A candidate is (name, action, key delta, changes, first leaf, end leaf,
-    lowest ``encap`` holding those leaves, reach's first leaf, reach's end
-    leaf, nearest ``||`` above).  Its reach is the range of the lowest
-    ``encap`` that holds its leaves and blocks its name, or the whole
-    spine.  The ranges nest, so the lowest ``encap`` holding both
-    candidates is the first on ``early``'s chain that holds ``late``'s
-    first leaf, and the ``||`` where they meet the first above ``early``
-    that does."""
-    first = late[4]
-    delta = early[2] + late[2]
-    changes = early[3] + late[3]
-    chain = early[6]
-    while chain >= 0 and not encaps[chain][1] <= first < encaps[chain][2]:
-        chain = encaps[chain][3]
-    name = c.name
-    block = chain
-    while block >= 0 and name not in encaps[block][0]:
-        block = encaps[block][3]
-    move = (name, c, delta, changes) if block < 0 else None
-    if not again:
-        return move, None
-    par = early[9]
-    while not pars[par][0] <= first < pars[par][1]:
-        par = pars[par][2]
-    start, end, above = pars[par]
-    reach = (0, width) if block < 0 else encaps[block][1:3]
-    return move, (name, c, delta, changes, start, end, chain, *reach, above)
-
-
 def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automaton:
     """``derive_automaton`` of a canonical ``||`` or ``encap`` root, as the
     product of its spine's leaves.  The spine is the maximal ``||``/``encap``
@@ -666,15 +623,21 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
     ``_Rules.step``, memoised per leaf state in two lists.  The alone
     moves, (name, action, key delta, ((leaf, new number),)), are those no
     ``encap`` above the leaf blocks.  The sync candidates are the moves
-    whose name the communication function relates, with the range of
-    leaves each can meet (see ``_meet``): leaf ``i``'s move meets leaf
-    ``j``'s at their lowest common ``||`` when no ``encap`` that holds
-    ``i`` but not ``j`` blocks it.  A state's moves are its leaves' alone
-    moves, then the communications: each candidate, in turn, is paired
-    through a name index with the earlier candidates that are enabled now,
-    hold other leaves and reach it, and a communication whose result is
-    itself an argument joins the candidates, placed at the ``||`` where it
-    formed, so that it can communicate again.  Each pair is met once.
+    whose name the communication function relates, as (name, action, key
+    delta, changes, first leaf, end leaf, reach's first leaf, reach's end
+    leaf, nearest ``||`` above).  The reach is the range of the lowest
+    ``encap`` that holds the leaves and blocks the name, or the whole
+    spine: leaf ``i``'s move meets leaf ``j``'s at their lowest common
+    ``||`` when no ``encap`` that holds ``i`` but not ``j`` blocks it.  A
+    state's moves are its leaves' alone moves, then the communications:
+    each candidate, in turn, is paired through a name index with the
+    earlier candidates that are enabled now, hold other leaves and reach
+    it.  The ranges nest, so one walk up the ``encap`` chain of the
+    earlier candidate's first leaf, to the first that holds the later
+    one's first leaf and blocks the result, decides each pair.  A result
+    that is itself an argument joins the candidates, placed at the ``||``
+    where it formed, so that it can communicate again.  Each pair is met
+    once.
 
     A leaf's moves are distinct, and two leaves change different digits,
     so two moves can repeat only when a communication fired or two leaves
@@ -731,7 +694,7 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
             if name in partners:
                 reach = (0, width) if block < 0 else encaps[block][1:3]
                 if reach[1] - reach[0] > 1:  # it can meet another leaf
-                    sync.append((*move, i, i + 1, inner[i], *reach, up[i]))
+                    sync.append((*move, i, i + 1, *reach, up[i]))
         entry = states[x] = (alone, sync, loops)
         return entry
 
@@ -784,16 +747,27 @@ def _derive_product(rules: _Rules, root: Expression, max_states: int) -> Automat
                     for early in enabled.get(partner, ()):
                         if (
                             (early[5] <= first or late[5] <= early[4])
-                            and early[7] <= first < early[8]
-                            and late[7] <= early[4] < late[8]
+                            and early[6] <= first < early[7]
+                            and late[6] <= early[4] < late[7]
                         ):
                             fired = True
-                            again = c.name in partners
-                            move, candidate = _meet(early, late, c, again, encaps, pars, width)
-                            if move is not None:
-                                moves.append(move)
-                            if again:
-                                waiting.append(candidate)
+                            result = c.name
+                            delta = early[2] + late[2]
+                            changes = early[3] + late[3]
+                            block = inner[early[4]]
+                            while block >= 0 and not (
+                                result in encaps[block][0] and encaps[block][1] <= first < encaps[block][2]
+                            ):
+                                block = encaps[block][3]
+                            if block < 0:
+                                moves.append((result, c, delta, changes))
+                            if result in partners:
+                                par = early[8]
+                                while not pars[par][0] <= first < pars[par][1]:
+                                    par = pars[par][2]
+                                start, end, above = pars[par]
+                                reach = (0, width) if block < 0 else encaps[block][1:3]
+                                waiting.append((result, c, delta, changes, start, end, *reach, above))
                 group = enabled.get(name)
                 if group is None:
                     enabled[name] = [late]

@@ -68,6 +68,9 @@ class TestLts:
 
     def test_state_limit_exit_code(self, capsys):
         assert run(["lts", "-e", "a.b.c", "--max-states", "2"]) == 3
+        capsys.readouterr()
+        assert run(["lts", "-e", "a", "--max-states", "0"]) == 2
+        assert capsys.readouterr().err == "error: max_states must be positive\n"
 
     def test_state_limit_says_how_far_derive_got(self, capsys):
         assert run(["lts", "-e", "a || b || c", "--max-states", "3"]) == 3
@@ -174,6 +177,8 @@ class TestScalars:
     def test_oc(self, capsys):
         assert run(["oc", "-e", "(a+b).c"]) == 0
         assert capsys.readouterr().out == "2\n"
+        assert run(["oc", "-e", "(a+b).c", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"oc": 2}
 
     def test_oc_on_a_long_flat_chain(self, tmp_path, capsys):
         """3 000 left-nested ``+`` levels: ``oc`` answers as ``classify`` does."""
@@ -224,6 +229,9 @@ class TestEncode:
     def test_verify_encoding_state_cap_exit_code(self, tmp_path, capsys):
         fa_path = _write_four_state_fa(tmp_path)
         assert run(["verify-encoding", str(fa_path), "--max-states", "2"]) == 3
+        capsys.readouterr()
+        assert run(["verify-encoding", str(fa_path), "--max-states", "0"]) == 2
+        assert capsys.readouterr().err == "error: max_states must be positive\n"
 
     def test_encode_rejects_unreachable(self, tmp_path, capsys):
         bad = {

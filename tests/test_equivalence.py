@@ -83,6 +83,17 @@ class TestCheckBisimulation:
         b = derive_automaton(parse_expression("b"))
         assert not check_bisimulation(a, b, {(0, 0), (1, 1)})
 
+    def test_termination_disagreement_rejected(self):
+        a = derive_automaton(parse_expression("1"))
+        b = derive_automaton(parse_expression("0"))
+        assert not check_bisimulation(a, b, {(0, 0)})
+
+    def test_unmatched_move_of_the_second_rejected(self):
+        # Every move of ``a`` is matched; only b's extra b-move is not.
+        a = derive_automaton(parse_expression("a"))
+        b = derive_automaton(parse_expression("a+b"))
+        assert not check_bisimulation(a, b, {(0, 0), (1, 1)})
+
     def test_invalid_pairs_raise(self):
         a = two_exit_loop_automaton()
         with pytest.raises(ValueError):

@@ -366,6 +366,9 @@ class TestDerive:
         exprs = state_expressions(auto)
         assert exprs[0] == parse_expression(TWO_EXIT_LOOP_EXPR)
         assert exprs[auto.initial] == exprs[0]
+        unlabelled = Automaton(labels=(None,), initial=0, transitions=(), terminating=frozenset())
+        with pytest.raises(ValueError, match="^automaton has unlabelled states$"):
+            state_expressions(unlabelled)
 
     def test_state_limit(self):
         with pytest.raises(StateLimitExceeded):
@@ -373,6 +376,8 @@ class TestDerive:
         # exactly enough states is fine
         auto = derive_automaton(parse_expression("a.b.c"), EMPTY_COMM, max_states=4)
         assert auto.n_states == 4
+        with pytest.raises(ValueError, match="^max_states must be positive$"):
+            derive_automaton(parse_expression("a"), max_states=0)
 
     def test_state_limit_reports_progress(self):
         # The initial state's three successors reach the limit of 3 while it
@@ -514,15 +519,31 @@ class TestDeriveOracle:
         self._check(e, gamma)
         self._check(e)
 
-    def test_a_communication_result_communicates_again(self):
-        # a || b communicate to c one level down, and c with d to e above.
-        gamma = CommFn([
-            (Action("a"), Action("b"), Action("c")),
-            (Action("c"), Action("d"), Action("e")),
-        ])
-        for text in ("a* || b* || d*", "d* || (a* || b*)", "encap{a,b,c,d}(a.a || b.b || d.d)"):
-            auto = self._check(parse_expression(text), gamma)
-            assert "e" in {t.action.name for t in auto.transitions}
+    # a || b communicate to c one level down, and c with d to e above; an
+    # encap blocks c only where it holds both a and b.
+    RELAY = CommFn([(Action("a"), Action("b"), Action("c")), (Action("c"), Action("d"), Action("e"))])
+    # Two results meet: c from a || b, g from d || f, and c with g to h.
+    TWO_RESULTS = CommFn([
+        (Action("a"), Action("b"), Action("c")),
+        (Action("d"), Action("f"), Action("g")),
+        (Action("c"), Action("g"), Action("h")),
+    ])
+
+    RELAY_CASES = [  # (table, text, names that occur, names that do not)
+        (RELAY, "a* || b* || d*", "e", ""),
+        (RELAY, "d* || (a* || b*)", "e", ""),
+        (RELAY, "encap{a,b,c,d}(a.a || b.b || d.d)", "e", ""),
+        (RELAY, "encap{c}(a*) || b* || d*", "ce", ""),
+        (RELAY, "encap{c}(a* || b*) || d*", "", "ce"),
+        (TWO_RESULTS, "(encap{h}(a*) || b*) || (d* || f*)", "h", ""),
+        (TWO_RESULTS, "encap{h}((a* || b*) || (d* || f*))", "", "h"),
+    ]
+
+    @pytest.mark.parametrize("gamma, text, present, absent", RELAY_CASES, ids=[case[1] for case in RELAY_CASES])
+    def test_a_communication_result_communicates_again(self, gamma, text, present, absent):
+        auto = self._check(parse_expression(text), gamma)
+        names = {t.action.name for t in auto.transitions}
+        assert set(present) <= names and not set(absent) & names
 
     def test_leaves_looping_on_one_action_name(self):
         # In (1.a*) || (1.a*) both lifts of a lead back to the state itself.

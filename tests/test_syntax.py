@@ -387,6 +387,7 @@ def test_surface_matches_action_keyed_table(rules, other_rules, flips):
     other = CommFn(other_rules)
     assert (g == other) == (ref.table == ActionKeyedTable(other_rules).table)
     assert g == CommFn(rules) == load_comm_fn(dump_comm_fn(g))
+    assert (g == "x") is False
     for k, (a, b, c) in enumerate(rules):
         for result in (Action("a"), Action("g")):
             if result != c:
