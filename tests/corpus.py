@@ -48,6 +48,13 @@ Families:
   result or a leaf and communicates again; ``encap`` nodes block the
   result names more often than the leaf actions.  A record is the
   automaton's JSON or the ``StateLimitExceeded`` fields.
+- ``parses``: ``parse_expression`` on seeded strings of up to 14 tokens,
+  drawn from the grammar's tokens and a few characters it rejects, and on
+  rendered ACP terms with up to three subterms wrapped in extra
+  parentheses and then one character dropped or inserted.  A record is
+  the text, then the tree's ``repr`` (each blocked set's items sorted) and
+  its rendering, or the ``ParseError`` message and position.  Nesting
+  stays below 100 levels.
 
 ``python -m tests.corpus`` prints each family's digest and record count.
 ``python -m tests.corpus --write`` adds to ``tests/corpus_fingerprints.json``
@@ -62,6 +69,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -79,6 +87,7 @@ from starpar import (
     CommFnError,
     Encap,
     Par,
+    ParseError,
     Seq,
     Star,
     StateLimitExceeded,
@@ -97,8 +106,10 @@ from starpar import (
     load_comm_fn,
     minimize,
     oc_measure,
+    parse_expression,
     render_expression,
     step,
+    subterms,
     terminates,
     validate_comm_fn,
     verify_encoding,
@@ -547,6 +558,50 @@ def rejection_records() -> list[str]:
     return records
 
 
+# Every token of the grammar, and text that the tokenizer rejects.
+PARSE_TOKENS = (
+    "0", "1", "*", ".", "+", "(", ")", "{", "}", ",", "||", "encap", "a", "b",
+    "|", "#", "é", " ", "x_1",
+)
+_FROZENSET_RE = re.compile(r"frozenset\(\{(.*?)\}\)")
+
+
+def _parse_record(text: str) -> str:
+    try:
+        e = parse_expression(text)
+    except ParseError as exc:
+        return f"{text}\n-> {exc} {exc.position}"
+    tree = _FROZENSET_RE.sub(
+        lambda m: "frozenset({" + ", ".join(sorted(m.group(1).split(", "))) + "})", repr(e)
+    )
+    return f"{text}\n-> {tree}\n{render_expression(e)}"
+
+
+def parse_records() -> list[str]:
+    rng = random.Random(20261027)
+    records = []
+    for _ in range(2000):
+        tokens = rng.choices(PARSE_TOKENS, k=rng.randint(0, 14))
+        records.append(_parse_record("".join(tokens)))
+    characters = "01*.+(){},|ab #"
+    for _ in range(2000):
+        e = _theory_term(rng, rng.randint(0, 5), THEORY_OPS[Theory.ACP])
+        text = render_expression(e)
+        nodes = list(subterms(e))
+        for _ in range(rng.randint(0, 3)):
+            part = render_expression(rng.choice(nodes))
+            i = text.find(part)  # gone if a wrap above cut through it
+            if i >= 0:
+                text = f"{text[:i]}({part}){text[i + len(part):]}"
+        i = rng.randint(0, len(text))
+        if text and rng.random() < 0.5:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(characters) + text[i:]
+        records.append(_parse_record(text))
+    return records
+
+
 FAMILIES = {
     "spines": spine_records,
     "roots": root_records,
@@ -555,6 +610,7 @@ FAMILIES = {
     "terms": term_records,
     "rejections": rejection_records,
     "relays": relay_records,
+    "parses": parse_records,
 }
 
 

@@ -6,9 +6,10 @@ state, that of ``terms`` by the code before ``||``/``encap`` roots
 were rendered through the spine walk, and that of ``rejections`` by the
 code before the SOS rules lifted moves through one interning step, and
 that of ``relays`` by the code before each spine communication was
-decided with one ``encap`` walk; none is edited to fit the code.  A
-failing family names its first record that moved and prints that record
-as it now reads."""
+decided with one ``encap`` walk, and that of ``parses`` by the code
+before the parser became one loop over an explicit stack; none is edited
+to fit the code.  A failing family names its first record that moved and
+prints that record as it now reads."""
 
 import pytest
 
@@ -22,6 +23,7 @@ DIGESTS = {
     "terms": "da02385e3b3f64be15c373549fa05d6cfacca58644d64dacf94be4234fb280c6",
     "rejections": "f7f9cbccd6c054f6744697b6fe2d40a99c57ed58cbd158f43ff2dd32eba1724d",
     "relays": "27a96fa6480ee27bf33efd078236d82b67637c9fa09af15bc8bd523738270778",
+    "parses": "7232f1b6d36890d915febb95e4ebb1b47eaaac9d8c6b371980e74de250132456",
 }
 
 
@@ -74,3 +76,13 @@ def test_rejections_cover_each_reader_and_load_reordered_transitions():
     assert "validate handshakingTrue handshaking True" in flags
     assert "validate mixedFalse handshaking False" in flags
     assert "validate three_partyFalse handshaking False" in flags
+
+
+def test_parses_take_every_outcome():
+    records = corpus.parse_records()
+    tokens, terms = records[:2000], records[2000:]
+    for half in (tokens, terms):
+        assert 50 < sum("(at position" not in r for r in half) < len(half) // 2
+    messages = " ".join(r.split("\n-> ", 1)[1] for r in records)
+    for message in ("single '|'", "character '#'", "character 'é'", "end of input", "expected action name"):
+        assert message in messages
