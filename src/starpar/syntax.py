@@ -153,28 +153,16 @@ def classify_theory(e: Expression) -> Theory:
 # Tokeniser and parser
 # ---------------------------------------------------------------------------
 
-_SIMPLE_TOKENS = {
-    "0": "ZERO",
-    "1": "ONE",
-    "*": "STAR",
-    ".": "DOT",
-    "+": "PLUS",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "{": "LBRACE",
-    "}": "RBRACE",
-    ",": "COMMA",
-}
-
-
 # Operator precedence, loosest to tightest, read by the parser and the renderer.
 _PREC = {Alt: 1, Par: 2, Seq: 3, Star: 4}
 _PREC_ATOM = 5
 _INFIX = {Alt: "+", Par: "||", Seq: "."}
-_BINARY = {"PLUS": Alt, "PAR": Par, "DOT": Seq}
+_BINARY = {text: kind for kind, text in _INFIX.items()}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """The tokens of ``text`` as ``(text, position)`` pairs, ending in
+    ``("", len(text))``."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -182,102 +170,33 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c in _SIMPLE_TOKENS:
-            tokens.append((_SIMPLE_TOKENS[c], c, i))
+        if c in "01*.+(){},":
+            tokens.append((c, i))
             i += 1
             continue
         if c == "|":
             if text.startswith("||", i):
-                tokens.append(("PAR", "||", i))
+                tokens.append(("||", i))
                 i += 2
                 continue
             raise ParseError("single '|' is not an operator, use '||'", i)
         m = _IDENT_RE.match(text, i)
         if m is not None:
-            word = m.group()
-            kind = "ENCAP" if word == "encap" else "IDENT"
-            tokens.append((kind, word, i))
+            tokens.append((m.group(), i))
             i = m.end()
             continue
         raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("", n))
     return tokens
 
 
-class _Parser:
-    """Precedence climbing over ``_PREC``: one loop per operand, two frames
-    per level of parentheses."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def _next(self) -> tuple[str, str, int]:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of input", len(self.text))
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self._next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self) -> Expression:
-        e = self._alternative()
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return e
-
-    def _alternative(self, least: int = _PREC[Alt]) -> Expression:
-        """An atom, its postfix stars, then each infix operator that binds at
-        least as tightly as ``least``, left associative: its right operand
-        takes only operators that bind tighter."""
-        e = self._atom()
-        while self._peek() == "STAR":
-            self._next()
-            e = Star(e)
-        while True:
-            kind = _BINARY.get(self._peek())
-            if kind is None or _PREC[kind] < least:
-                return e
-            self._next()
-            e = kind(e, self._alternative(_PREC[kind] + 1))
-
-    def _atom(self) -> Expression:
-        kind, value, position = self._next()
-        if kind == "ZERO":
-            return DEADLOCK
-        if kind == "ONE":
-            return EMPTY
-        if kind == "IDENT":
-            return Act(Action(value))
-        if kind == "LPAREN":
-            e = self._alternative()
-            self._expect("RPAREN", "')'")
-            return e
-        if kind == "ENCAP":
-            self._expect("LBRACE", "'{'")
-            names = []
-            if self._peek() != "RBRACE":
-                names.append(self._expect("IDENT", "action name")[1])
-                while self._peek() == "COMMA":
-                    self._next()
-                    names.append(self._expect("IDENT", "action name")[1])
-            self._expect("RBRACE", "'}'")
-            self._expect("LPAREN", "'('")
-            body = self._alternative()
-            self._expect("RPAREN", "')'")
-            return Encap(frozenset(Action(n) for n in names), body)
-        raise ParseError(f"unexpected {value!r}", position)
+def _error(value: str, position: int, expected: str = "") -> ParseError:
+    """The error for token ``value`` where ``expected`` (or any operand) must be."""
+    if not value:
+        return ParseError("unexpected end of input", position)
+    if expected:
+        return ParseError(f"expected {expected}, found {value!r}", position)
+    return ParseError(f"unexpected {value!r}", position)
 
 
 def parse_expression(text: str) -> Expression:
@@ -286,8 +205,73 @@ def parse_expression(text: str) -> Expression:
     Grammar, loosest to tightest: ``+``, ``||``, ``.`` (all left associative),
     postfix ``*``.  Atoms are ``0``, ``1``, action names, ``encap{...}(p)`` and
     parenthesised expressions.
+
+    One loop with an explicit stack, so parentheses nest to any depth.  The
+    stack holds each open ``(`` or ``encap{..}(`` as ``(0, blocked set or
+    None)`` and each left operand that waits for its right operand as
+    ``(precedence, operator, operand)``.
     """
-    return _Parser(text).parse()
+    tokens = iter(_tokenize(text))
+    stack: list[tuple] = []
+    e = None  # the operand just finished, or None where one must start
+    while True:
+        value, position = next(tokens)
+        if e is None:
+            if value == "(":
+                stack.append((0, None))
+            elif value == "encap":
+                value, position = next(tokens)
+                if value != "{":
+                    raise _error(value, position, "'{'")
+                names = []
+                value, position = next(tokens)
+                if value != "}":
+                    while True:
+                        if not value.isidentifier() or value == "encap":
+                            raise _error(value, position, "action name")
+                        names.append(Action(value))
+                        value, position = next(tokens)
+                        if value != ",":
+                            break
+                        value, position = next(tokens)
+                    if value != "}":
+                        raise _error(value, position, "'}'")
+                value, position = next(tokens)
+                if value != "(":
+                    raise _error(value, position, "'('")
+                stack.append((0, frozenset(names)))
+            elif value.isidentifier():
+                e = Act(Action(value))
+            elif value == "0":
+                e = DEADLOCK
+            elif value == "1":
+                e = EMPTY
+            else:
+                raise _error(value, position)
+            continue
+        if value == "*":
+            e = Star(e)
+            continue
+        # Apply the waiting operators that bind at least as tightly as this
+        # token; a token other than an operator binds as loosely as ``+``.
+        kind = _BINARY.get(value)
+        precedence = _PREC[kind] if kind is not None else _PREC[Alt]
+        while stack and stack[-1][0] >= precedence:
+            _, operator, left = stack.pop()
+            e = operator(left, e)
+        if kind is not None:
+            stack.append((precedence, kind, e))
+            e = None
+        elif not stack:
+            if value:
+                raise _error(value, position)
+            return e
+        elif value == ")":
+            blocked = stack.pop()[1]
+            if blocked is not None:
+                e = Encap(blocked, e)
+        else:
+            raise _error(value, position, "')'")
 
 
 # ---------------------------------------------------------------------------

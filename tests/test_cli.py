@@ -21,6 +21,11 @@ from tests.corpus import connected_fa
 from tests.samples import INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, four_state_fa, communicating_gamma
 
 
+def _right_chain(n: int) -> str:
+    """``a0.(a1.(….a(n-1)))``: n actions, nested n - 1 levels deep."""
+    return ".(".join(f"a{i}" for i in range(n)) + ")" * (n - 1)
+
+
 def _write_interleaved_loop(tmp_path):
     auto = derive_automaton(parse_expression(INTERLEAVED_LOOP_EXPR))
     path = tmp_path / "interleaved.json"
@@ -79,15 +84,19 @@ class TestLts:
         assert captured.err == "error: state limit of 3 exceeded: 1 expanded, 2 queued\n"
 
     def test_deep_nesting_exit_code(self, tmp_path, capsys):
-        """Too deep to parse or to derive: exit 3 and one error line, no traceback."""
+        """Too deep to derive or to render: exit 3 and one error line, no
+        traceback.  Parentheses alone nest to any depth."""
         path = tmp_path / "chain.txt"
         path.write_text(".".join(f"a{i}" for i in range(3000)) + "\n")
-        nested = "(" * 1200 + "a" + ")" * 1200
-        for argv in (["lts", "-e", nested], ["lts", "--expr-file", str(path)]):
+        for argv in (["lts", "-e", _right_chain(1200)], ["lts", "--expr-file", str(path)]):
             assert run(argv) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: expression nested too deeply\n"
+        assert run(["lts", "-e", "a"]) == 0
+        plain = capsys.readouterr()
+        assert run(["lts", "-e", "(" * 1200 + "a" + ")" * 1200]) == 0
+        assert capsys.readouterr() == plain
 
     def test_wide_chain_exit_code(self, tmp_path, capsys):
         path = tmp_path / "wide.txt"
@@ -186,6 +195,16 @@ class TestScalars:
         path.write_text("+".join(["a"] * 3000) + "\n")
         assert run(["oc", "--expr-file", str(path)]) == 0
         assert capsys.readouterr().out == "3000\n"
+        assert run(["classify", "--expr-file", str(path)]) == 0
+        assert capsys.readouterr().out == "BPA\n"
+
+    def test_oc_and_classify_on_a_deep_chain(self, tmp_path, capsys):
+        """A 5 000-level right-nested ``.`` chain parses, and neither
+        ``oc`` nor ``classify`` recurses down it."""
+        path = tmp_path / "chain.txt"
+        path.write_text(_right_chain(5000) + "\n")
+        assert run(["oc", "--expr-file", str(path)]) == 0
+        assert capsys.readouterr().out == "5000\n"
         assert run(["classify", "--expr-file", str(path)]) == 0
         assert capsys.readouterr().out == "BPA\n"
 

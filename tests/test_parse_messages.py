@@ -37,6 +37,20 @@ CASES = {
         8,
     ),
     "operand for a closing parenthesis": ("(a b", "expected ')', found 'b' (at position 3)", 3),
+    # one case for each raise site of the parser loop not reached above
+    "closing parenthesis after a whole expression": ("a)", "unexpected ')' (at position 1)", 1),
+    "parenthesis for a closing parenthesis": (
+        "(a (b))",
+        "expected ')', found '(' (at position 3)",
+        3,
+    ),
+    "reserved word as a blocked name": (
+        "encap{encap}(a)",
+        "expected action name, found 'encap' (at position 6)",
+        6,
+    ),
+    "operator without a right operand": ("a +", "unexpected end of input (at position 3)", 3),
+    "encap without a body": ("encap{a}", "unexpected end of input (at position 8)", 8),
 }
 
 

@@ -10,12 +10,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "starpar"
 
-RECURSIVE = [
-    "semantics._Rules.step",
-    "syntax._Parser._alternative",
-    "syntax._Parser._atom",
-    "syntax.render_memoised",
-]
+RECURSIVE = ["semantics._Rules.step", "syntax.render_memoised"]
 
 
 def _own_nodes(function: ast.AST):
