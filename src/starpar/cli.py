@@ -4,6 +4,10 @@ Exit codes: 0 success (property holds, bisimilar, isomorphic), 1 negative
 verdict (property fails, not bisimilar, not isomorphic), 2 usage, parse or
 format error, 3 state or nesting limit exceeded.  Identical invocations
 produce byte-identical output.
+
+Each ``_cmd_*`` returns ``(holds, text)``: whether its verdict holds (always,
+for the commands without one) and everything it prints.  ``run`` alone writes
+stdout, once, and maps the verdict to exit 0 or 1.
 """
 
 from __future__ import annotations
@@ -14,14 +18,13 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    PropertyReport,
     check_bpa_property,
     check_pa_property,
     oc_measure,
     scc_decompose,
 )
 from .encoding import encode_fa, encoding_manifest, verify_encoding
-from .equivalence import bisimilar, minimize
+from .equivalence import _bisim_partition, bisimilar, minimize
 from .semantics import (
     DEFAULT_MAX_STATES,
     StateLimitExceeded,
@@ -57,7 +60,7 @@ def _read_expression(args: argparse.Namespace):
 
 
 def _read_gamma(args: argparse.Namespace):
-    if getattr(args, "gamma", None) is None:
+    if args.gamma is None:
         return EMPTY_COMM
     gamma = load_comm_fn(Path(args.gamma).read_text())
     report = validate_comm_fn(gamma)
@@ -78,92 +81,70 @@ def _add_expression_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--expr-file", help="file containing the expression")
 
 
-def _print_report(report: PropertyReport, as_json: bool) -> int:
-    if as_json:
-        sys.stdout.write(_dumps(report.to_dict()))
-    else:
-        sys.stdout.write(f"property {report.property}: {report.verdict}\n")
-        for w in report.witnesses:
-            states = ", ".join(str(s) for s in w.states)
-            sys.stdout.write(f"  scc {w.scc} (states {states}): {w.details}\n")
-    return EXIT_OK if report.holds else EXIT_NEGATIVE
+def _join(states) -> str:
+    return ", ".join(str(s) for s in states)
 
 
-def _cmd_lts(args: argparse.Namespace) -> int:
+def _cmd_lts(args: argparse.Namespace) -> tuple[bool, str]:
     automaton = derive_automaton(_read_expression(args), _read_gamma(args), args.max_states)
-    if args.format == "dot":
-        sys.stdout.write(automaton_to_dot(automaton))
-    else:
-        sys.stdout.write(automaton_to_json(automaton))
-    return EXIT_OK
+    serialise = automaton_to_dot if args.format == "dot" else automaton_to_json
+    return True, serialise(automaton)
 
 
-def _cmd_bisim(args: argparse.Namespace) -> int:
-    result = bisimilar(_read_automaton(args.automaton_a), _read_automaton(args.automaton_b))
+def _cmd_bisim(args: argparse.Namespace) -> tuple[bool, str]:
+    a, b = _read_automaton(args.automaton_a), _read_automaton(args.automaton_b)
+    if not args.json:
+        related = _bisim_partition(a, b)[1]
+        return related, ("bisimilar\n" if related else "not bisimilar\n")
+    result = bisimilar(a, b)
+    witness = None
+    if result.witness_relation is not None:
+        witness = sorted([i, j] for i, j in result.witness_relation)
+    return result.bisimilar, _dumps({"bisimilar": result.bisimilar, "witness_relation": witness})
+
+
+def _cmd_minimize(args: argparse.Namespace) -> tuple[bool, str]:
+    return True, automaton_to_json(minimize(_read_automaton(args.automaton)))
+
+
+def _cmd_scc(args: argparse.Namespace) -> tuple[bool, str]:
+    decomposition = scc_decompose(_read_automaton(args.automaton))
+    members, trivial = decomposition.members, decomposition.trivial
     if args.json:
-        witness = None
-        if result.witness_relation is not None:
-            witness = sorted([i, j] for i, j in result.witness_relation)
-        sys.stdout.write(_dumps({"bisimilar": result.bisimilar, "witness_relation": witness}))
-    else:
-        sys.stdout.write("bisimilar\n" if result.bisimilar else "not bisimilar\n")
-    return EXIT_OK if result.bisimilar else EXIT_NEGATIVE
+        components = [
+            {"id": cid, "states": list(members[cid]), "trivial": trivial[cid]}
+            for cid in range(decomposition.count)
+        ]
+        obj = {"components": components, "component_of": list(decomposition.component_of)}
+        return True, _dumps(obj)
+    lines = []
+    for cid in range(decomposition.count):
+        kind = "trivial" if trivial[cid] else "non-trivial"
+        lines.append(f"scc {cid} ({kind}): {_join(members[cid])}\n")
+    return True, "".join(lines)
 
 
-def _cmd_minimize(args: argparse.Namespace) -> int:
-    sys.stdout.write(automaton_to_json(minimize(_read_automaton(args.automaton))))
-    return EXIT_OK
-
-
-def _cmd_scc(args: argparse.Namespace) -> int:
-    automaton = _read_automaton(args.automaton)
-    decomposition = scc_decompose(automaton)
-    if args.json:
-        obj = {
-            "components": [
-                {
-                    "id": cid,
-                    "states": list(decomposition.members[cid]),
-                    "trivial": decomposition.trivial[cid],
-                }
-                for cid in range(decomposition.count)
-            ],
-            "component_of": list(decomposition.component_of),
-        }
-        sys.stdout.write(_dumps(obj))
-    else:
-        for cid in range(decomposition.count):
-            kind = "trivial" if decomposition.trivial[cid] else "non-trivial"
-            states = ", ".join(str(s) for s in decomposition.members[cid])
-            sys.stdout.write(f"scc {cid} ({kind}): {states}\n")
-    return EXIT_OK
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    automaton = _read_automaton(args.automaton)
+def _cmd_check(args: argparse.Namespace) -> tuple[bool, str]:
     check = check_bpa_property if args.property == "bpa" else check_pa_property
-    return _print_report(check(automaton), args.json)
+    report = check(_read_automaton(args.automaton))
+    if args.json:
+        return report.holds, _dumps(report.to_dict())
+    lines = [f"property {report.property}: {report.verdict}\n"]
+    lines += [f"  scc {w.scc} (states {_join(w.states)}): {w.details}\n" for w in report.witnesses]
+    return report.holds, "".join(lines)
 
 
-def _cmd_oc(args: argparse.Namespace) -> int:
+def _cmd_oc(args: argparse.Namespace) -> tuple[bool, str]:
     value = oc_measure(_read_expression(args))
-    if args.json:
-        sys.stdout.write(_dumps({"oc": value}))
-    else:
-        sys.stdout.write(f"{value}\n")
-    return EXIT_OK
+    return True, (_dumps({"oc": value}) if args.json else f"{value}\n")
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[bool, str]:
     theory = classify_theory(_read_expression(args))
-    if args.json:
-        sys.stdout.write(_dumps({"theory": theory.value}))
-    else:
-        sys.stdout.write(f"{theory.value}\n")
-    return EXIT_OK
+    return True, (_dumps({"theory": theory.value}) if args.json else f"{theory.value}\n")
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
+def _cmd_encode(args: argparse.Namespace) -> tuple[bool, str]:
     fa = _read_automaton(args.automaton)
     enc = encode_fa(fa)
     out = Path(args.output)
@@ -171,22 +152,18 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     (out / "expression.txt").write_text(render_expression(enc.expression) + "\n")
     (out / "gamma.txt").write_text(dump_comm_fn(enc.gamma))
     (out / "manifest.json").write_text(_dumps(encoding_manifest(fa, enc)))
-    sys.stdout.write(f"wrote expression.txt, gamma.txt, manifest.json to {out}\n")
-    return EXIT_OK
+    return True, f"wrote expression.txt, gamma.txt, manifest.json to {out}\n"
 
 
-def _cmd_verify_encoding(args: argparse.Namespace) -> int:
+def _cmd_verify_encoding(args: argparse.Namespace) -> tuple[bool, str]:
     fa = _read_automaton(args.automaton)
     result = verify_encoding(fa, args.max_states)
     if args.json:
         mapping = list(result.mapping) if result.mapping is not None else None
-        sys.stdout.write(
-            _dumps({"isomorphic": result.isomorphic, "states": fa.n_states, "mapping": mapping})
-        )
-    else:
-        verdict = "isomorphic" if result.isomorphic else "not isomorphic"
-        sys.stdout.write(f"{verdict} ({fa.n_states} states)\n")
-    return EXIT_OK if result.isomorphic else EXIT_NEGATIVE
+        obj = {"isomorphic": result.isomorphic, "states": fa.n_states, "mapping": mapping}
+        return result.isomorphic, _dumps(obj)
+    verdict = "isomorphic" if result.isomorphic else "not isomorphic"
+    return result.isomorphic, f"{verdict} ({fa.n_states} states)\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,14 +229,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Execute one invocation; returns the exit code instead of exiting."""
+    """Execute one invocation; returns the exit code instead of exiting.
+
+    Stdout is written once, after the subcommand has finished, so a run that
+    fails leaves it empty.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        holds, text = args.func(args)
+        sys.stdout.write(text)
     except StateLimitExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STATE_LIMIT
@@ -269,9 +251,13 @@ def run(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return EXIT_OK if holds else EXIT_NEGATIVE
 
 
 def main() -> None:
+    # Labels may hold characters that stdout's encoding lacks; escape them
+    # rather than fail after the verdict is known.
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run(sys.argv[1:]))
 
 

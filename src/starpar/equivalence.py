@@ -75,11 +75,18 @@ def _second_by_block(block: list[int], offset: int) -> dict[int, list[int]]:
     return groups
 
 
-def bisimilar(a: Automaton, b: Automaton) -> BisimResult:
-    """Decide strong bisimilarity of the two initial states."""
+def _bisim_partition(a: Automaton, b: Automaton) -> tuple[list[int], bool]:
+    """Coarsest bisimulation partition of the union of ``a`` and ``b``, and
+    whether it relates the two initial states: the verdict without the
+    witness, which costs up to ``|a| * |b|`` pairs."""
     seed = [s in m.terminating for m in (a, b) for s in range(m.n_states)]
     block = _coarsest_partition((a, b), seed)
-    related = block[a.initial] == block[a.n_states + b.initial]
+    return block, block[a.initial] == block[a.n_states + b.initial]
+
+
+def bisimilar(a: Automaton, b: Automaton) -> BisimResult:
+    """Decide strong bisimilarity of the two initial states."""
+    block, related = _bisim_partition(a, b)
     witness = None
     if related:
         second = _second_by_block(block, a.n_states)

@@ -1,8 +1,13 @@
+import ast
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,9 +21,19 @@ from starpar import (
     parse_expression,
     render_expression,
 )
+from starpar import cli
 from starpar.cli import run
+from starpar.equivalence import IsoResult
 from tests.corpus import connected_fa
-from tests.samples import INTERLEAVED_LOOP_EXPR, COMMUNICATING_LOOP_EXPR, four_state_fa, communicating_gamma
+from tests.samples import (
+    COMMUNICATING_LOOP_EXPR,
+    INTERLEAVED_LOOP_EXPR,
+    TWO_EXIT_LOOP_EXPR,
+    communicating_gamma,
+    four_state_fa,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _right_chain(n: int) -> str:
@@ -113,6 +128,15 @@ class TestLts:
         assert run(["lts", "--expr-file", "/nonexistent/expr.txt"]) == 2
 
 
+def _cycle_json(n: int) -> str:
+    """An ``a``-cycle of ``n`` states, none terminating."""
+    return json.dumps({
+        "states": [{"id": i, "terminating": False} for i in range(n)],
+        "initial": 0,
+        "transitions": [{"from": i, "action": "a", "to": (i + 1) % n} for i in range(n)],
+    })
+
+
 class TestBisim:
     def test_bisimilar_exit_zero(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -137,6 +161,21 @@ class TestBisim:
         obj = json.loads(capsys.readouterr().out)
         assert obj["bisimilar"] is True
         assert [0, 0] in obj["witness_relation"]
+
+    def test_text_verdict_decides_from_the_partition_alone(self, tmp_path, capsys):
+        """Two copies of a 1 000-state cycle share one block, so a witness
+        would hold a million pairs; the text verdict never builds it."""
+        path = tmp_path / "cycle.json"
+        path.write_text(_cycle_json(1000))
+        tracemalloc.start()
+        try:
+            code = run(["bisim", str(path), str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out == "bisimilar\n"
+        assert peak < 16 * 2**20
 
 
 class TestMinimizeAndScc:
@@ -278,6 +317,141 @@ class TestEncode:
         text = (tmp_path / "out" / "expression.txt").read_text()
         assert text == render_expression(encode_fa(fa).expression) + "\n"
         assert render_expression(parse_expression(text)) + "\n" == text
+
+
+_LOOP_BPA = (
+    "normed exit sets differ: Extn(0 (1.(a.b)*||c)) = {(c, 2 (1.(a.b)*||1))}; "
+    "Extn(1 (1.b.(a.b)*||c)) = {(c, 3 (1.b.(a.b)*||1))}"
+)
+_COMM_PA = (
+    "no maximal alive exit state; required exit classes (action, target scc) = "
+    "[('c', 1), ('d', 2), ('e', 1)]; 0 (1.(a.b)*.d||c) covers [('c', 1), ('d', 2)]; "
+    "1 (1.b.(a.b)*.d||c) covers [('c', 1), ('e', 1)]"
+)
+
+
+def _report(prop: str, scc: int | None = None, details: str = "") -> dict:
+    witnesses = [] if scc is None else [{"scc": scc, "states": [0, 1], "details": details}]
+    return {"property": prop, "verdict": "fail" if witnesses else "pass", "witnesses": witnesses}
+
+
+# The communicating loop under its gamma: the one sample that fails the PA check.
+_COMM = "comm"
+
+# subcommand and its options, the automata it reads (an expression stands for
+# its derived automaton), exit code, text output, and the object --json prints.
+VERDICTS = {
+    "bisim-holds": (["bisim"], ["a+a", "a"], 0, "bisimilar\n",
+                    {"bisimilar": True, "witness_relation": [[0, 0], [1, 1]]}),
+    "bisim-fails": (["bisim"], ["a.(b+c)", "a.b+a.c"], 1, "not bisimilar\n",
+                    {"bisimilar": False, "witness_relation": None}),
+    "bpa-holds": (["check", "--property", "bpa"], [TWO_EXIT_LOOP_EXPR], 0, "property bpa: pass\n",
+                  _report("bpa")),
+    "bpa-fails": (["check", "--property", "bpa"], [INTERLEAVED_LOOP_EXPR], 1,
+                  f"property bpa: fail\n  scc 1 (states 0, 1): {_LOOP_BPA}\n",
+                  _report("bpa", 1, _LOOP_BPA)),
+    "pa-holds": (["check", "--property", "pa"], [INTERLEAVED_LOOP_EXPR], 0, "property pa: pass\n",
+                 _report("pa")),
+    "pa-fails": (["check", "--property", "pa"], [_COMM], 1,
+                 f"property pa: fail\n  scc 3 (states 0, 1): {_COMM_PA}\n",
+                 _report("pa", 3, _COMM_PA)),
+    "verify-holds": (["verify-encoding"], ["a.b.c"], 0, "isomorphic (4 states)\n",
+                     {"isomorphic": True, "states": 4, "mapping": [0, 1, 2, 3]}),
+    "verify-fails": (["verify-encoding"], ["a.b.c"], 1, "not isomorphic (4 states)\n",
+                     {"isomorphic": False, "states": 4, "mapping": None}),
+}
+
+
+class TestOneOutputPath:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("case", sorted(VERDICTS))
+    def test_verdict_sets_the_exit_code(self, case, as_json, tmp_path, capsys, monkeypatch):
+        command, automata, code, text, obj = VERDICTS[case]
+        if case == "verify-fails":
+            # The encoding theorem leaves no real input for this verdict.
+            monkeypatch.setattr(cli, "verify_encoding", lambda fa, max_states: IsoResult(False, None))
+        paths = []
+        for i, expr in enumerate(automata):
+            if expr == _COMM:
+                auto = derive_automaton(parse_expression(COMMUNICATING_LOOP_EXPR), communicating_gamma())
+            else:
+                auto = derive_automaton(parse_expression(expr))
+            paths.append(tmp_path / f"{i}.json")
+            paths[-1].write_text(automaton_to_json(auto))
+        assert run(command + [str(p) for p in paths] + (["--json"] if as_json else [])) == code
+        captured = capsys.readouterr()
+        assert captured.out == (json.dumps(obj, indent=2) + "\n" if as_json else text)
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "prefix, encoding, shown",
+        [("\ud800", "utf-8", "\\ud800"), ("\u00e9", "ascii", "\\xe9")],
+        ids=["surrogate", "ascii"],
+    )
+    def test_labels_stdout_cannot_encode_are_escaped(self, prefix, encoding, shown, tmp_path):
+        """The reader takes any JSON string as a label; a report that quotes
+        one stdout cannot encode still prints in full, the character escaped,
+        and exits with the verdict."""
+        obj = json.loads(automaton_to_json(derive_automaton(parse_expression(INTERLEAVED_LOOP_EXPR))))
+        for state in obj["states"]:
+            state["label"] = prefix + state["label"]
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(obj))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["check", "--property", "bpa", str(path)]) == 1
+        report = out.getvalue()
+        assert prefix in report
+        env = {
+            **os.environ,
+            "PYTHONIOENCODING": encoding,
+            "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-m", "starpar.cli", "check", "--property", "bpa", str(path)],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (1, b"")
+        assert done.stdout == report.replace(prefix, shown).encode(encoding)
+
+
+def _output_sites(source: str) -> tuple[list[str], list[str]]:
+    """The top-level functions of a module that call ``sys.stdout.write``,
+    once per call (``<module>`` for a call outside any function), and the
+    ``_cmd_*`` functions that name an ``EXIT_*`` constant."""
+    writers, exit_namers = [], []
+    for top in ast.parse(source).body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.stdout.write":
+                writers.append(name)
+            if isinstance(node, ast.Name) and node.id.startswith("EXIT_") and name.startswith("_cmd_"):
+                exit_namers.append(name)
+    return writers, sorted(set(exit_namers))
+
+
+@pytest.mark.parametrize(
+    "source, sites",
+    [
+        ("def run():\n    sys.stdout.write(text)\n", (["run"], [])),
+        (
+            "def _cmd_a(args):\n    sys.stdout.write('a')\n    return EXIT_OK\n\n"
+            "def _cmd_b(args):\n    return True, 'b'\n\nsys.stdout.write('')\n",
+            (["_cmd_a", "<module>"], ["_cmd_a"]),
+        ),
+    ],
+    ids=["run-writes", "command-and-module-write"],
+)
+def test_output_sites_are_found(source, sites):
+    assert _output_sites(source) == sites
+
+
+def test_only_run_writes_stdout_and_picks_the_exit_code():
+    """Subcommands return their verdict and text; ``run`` alone writes them,
+    once, and maps the verdict to an exit code."""
+    assert _output_sites((SRC / "starpar" / "cli.py").read_text()) == (["run"], [])
 
 
 class TestUsage:
