@@ -24,7 +24,7 @@ from .analysis import (
     scc_decompose,
 )
 from .encoding import encode_fa, encoding_manifest, verify_encoding
-from .equivalence import _bisim_partition, bisimilar, minimize
+from .equivalence import bisimilar, minimize
 from .semantics import (
     DEFAULT_MAX_STATES,
     StateLimitExceeded,
@@ -92,14 +92,10 @@ def _cmd_lts(args: argparse.Namespace) -> tuple[bool, str]:
 
 
 def _cmd_bisim(args: argparse.Namespace) -> tuple[bool, str]:
-    a, b = _read_automaton(args.automaton_a), _read_automaton(args.automaton_b)
+    result = bisimilar(_read_automaton(args.automaton_a), _read_automaton(args.automaton_b))
     if not args.json:
-        related = _bisim_partition(a, b)[1]
-        return related, ("bisimilar\n" if related else "not bisimilar\n")
-    result = bisimilar(a, b)
-    witness = None
-    if result.witness_relation is not None:
-        witness = sorted([i, j] for i, j in result.witness_relation)
+        return result.bisimilar, ("bisimilar\n" if result.bisimilar else "not bisimilar\n")
+    witness = None if result.witness_relation is None else list(result.witness_relation)
     return result.bisimilar, _dumps({"bisimilar": result.bisimilar, "witness_relation": witness})
 
 

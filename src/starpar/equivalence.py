@@ -4,8 +4,8 @@ quotient minimisation, and automaton isomorphism."""
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
-from typing import Iterable
 
 from .semantics import Automaton, Transition, _canonical_automaton, _transition
 
@@ -16,10 +16,12 @@ def _coarsest_partition(
     """Relational coarsest partition of the disjoint union of ``automata``
     (one automaton's states after another's) refining the ``seed`` colouring.
 
-    States with unequal ``seed`` colours never share a block.  Simple
-    splitter style: states are repeatedly regrouped by their one-step
-    signature (current block plus the set of (action name, successor block)
-    pairs) until the number of blocks stops growing.  Block ids are assigned
+    States with unequal ``seed`` colours never share a block.  There are no
+    splitters: each round regroups every state by its one-step signature
+    (current block plus the set of (action name, successor block) pairs)
+    until the number of blocks stops growing, so a chain of n states takes
+    n rounds of O(states + transitions) each, where a splitter-queue kernel
+    (Paige and Tarjan) would take O(m log n) in all.  Block ids are assigned
     by first occurrence in state order, so the result depends only on the
     partition the seed induces.  Seeded by the termination flag this is
     strong bisimilarity.  With ``counted`` the signature is the current
@@ -51,6 +53,56 @@ def _coarsest_partition(
         count = len(remap)
 
 
+def _second_by_block(block: Sequence[int], offset: int) -> dict[int, list[int]]:
+    """States of the second automaton of a union, in increasing order, per block."""
+    groups: dict[int, list[int]] = {}
+    for j, bid in enumerate(block[offset:]):
+        groups.setdefault(bid, []).append(j)
+    return groups
+
+
+class _Related(Set):
+    """The pairs (i, j) of a first automaton's state i and a second's state j,
+    numbered from ``offset`` in the union, that share a block of ``partition``.
+
+    A read-only set that stores no pairs: ``in`` compares two blocks, ``len``
+    sums products of block sizes, and iteration runs in (i, j) order.  It
+    equals and hashes as the frozenset of its pairs, and set operators
+    return frozensets.
+    """
+
+    def __init__(self, partition: tuple[int, ...], offset: int) -> None:
+        self._partition, self._offset = partition, offset
+
+    def __contains__(self, pair: object) -> bool:
+        p, n = self._partition, self._offset
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(isinstance(k, int) for k in pair)):
+            return False
+        i, j = pair
+        return 0 <= i < n and 0 <= j < len(p) - n and p[i] == p[n + j]
+
+    def __len__(self) -> int:
+        p, n = self._partition, self._offset
+        first = Counter(p[:n])
+        return sum(first[bid] * size for bid, size in Counter(p[n:]).items())
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        p, n = self._partition, self._offset
+        second = _second_by_block(p, n)
+        for i in range(n):
+            for j in second.get(p[i], ()):
+                yield i, j
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({{{', '.join(map(repr, self))}}})"
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+        return frozenset(pairs)
+
+
 @dataclass(frozen=True)
 class BisimResult:
     """Outcome of the bisimilarity check on two automata.
@@ -59,41 +111,22 @@ class BisimResult:
     then the second's) to blocks of the coarsest partition.  When the initial
     states share a block, ``witness_relation`` holds every cross-automaton
     pair of states in a common block; that relation is itself a bisimulation
-    relating the initial states.
+    relating the initial states, held as a read-only set view over
+    ``partition`` that iterates in (i, j) order.
     """
 
     bisimilar: bool
     partition: tuple[int, ...]
-    witness_relation: frozenset[tuple[int, int]] | None
-
-
-def _second_by_block(block: list[int], offset: int) -> dict[int, list[int]]:
-    """States of the second automaton of a union, in increasing order, per block."""
-    groups: dict[int, list[int]] = {}
-    for j, bid in enumerate(block[offset:]):
-        groups.setdefault(bid, []).append(j)
-    return groups
-
-
-def _bisim_partition(a: Automaton, b: Automaton) -> tuple[list[int], bool]:
-    """Coarsest bisimulation partition of the union of ``a`` and ``b``, and
-    whether it relates the two initial states: the verdict without the
-    witness, which costs up to ``|a| * |b|`` pairs."""
-    seed = [s in m.terminating for m in (a, b) for s in range(m.n_states)]
-    block = _coarsest_partition((a, b), seed)
-    return block, block[a.initial] == block[a.n_states + b.initial]
+    witness_relation: Set[tuple[int, int]] | None
 
 
 def bisimilar(a: Automaton, b: Automaton) -> BisimResult:
     """Decide strong bisimilarity of the two initial states."""
-    block, related = _bisim_partition(a, b)
-    witness = None
-    if related:
-        second = _second_by_block(block, a.n_states)
-        witness = frozenset(
-            (i, j) for i in range(a.n_states) for j in second.get(block[i], ())
-        )
-    return BisimResult(bisimilar=related, partition=tuple(block), witness_relation=witness)
+    seed = [s in m.terminating for m in (a, b) for s in range(m.n_states)]
+    partition = tuple(_coarsest_partition((a, b), seed))
+    related = partition[a.initial] == partition[a.n_states + b.initial]
+    witness = _Related(partition, a.n_states) if related else None
+    return BisimResult(bisimilar=related, partition=partition, witness_relation=witness)
 
 
 def check_bisimulation(a: Automaton, b: Automaton, relation: Iterable[tuple[int, int]]) -> bool:

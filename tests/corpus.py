@@ -72,6 +72,7 @@ import random
 import re
 import subprocess
 import sys
+from collections.abc import Iterator
 from functools import reduce
 from pathlib import Path
 
@@ -332,16 +333,20 @@ def _pair_record(kind: str, a: Automaton, b: Automaton) -> str:
     )
 
 
-def refinement_records() -> list[str]:
+def refinement_pairs() -> Iterator[tuple[str, Automaton, Automaton]]:
+    """Each refinement input against a shuffled copy, a mutant and its
+    quotient, as ``(kind, a, b)``."""
     rng = random.Random(20261024)
-    records = []
     for a in _refinement_inputs():
         perm = list(range(a.n_states))
         rng.shuffle(perm)
-        records.append(_pair_record("shuffled", a, permute_automaton(a, perm)))
-        records.append(_pair_record("mutated", a, _mutated(rng, a)))
-        records.append(_pair_record("minimized", a, minimize(a)))
-    return records
+        yield "shuffled", a, permute_automaton(a, perm)
+        yield "mutated", a, _mutated(rng, a)
+        yield "minimized", a, minimize(a)
+
+
+def refinement_records() -> list[str]:
+    return [_pair_record(kind, a, b) for kind, a, b in refinement_pairs()]
 
 
 # The operators each theory's terms draw from, besides the leaves.

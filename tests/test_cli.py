@@ -454,6 +454,20 @@ def test_only_run_writes_stdout_and_picks_the_exit_code():
     assert _output_sites((SRC / "starpar" / "cli.py").read_text()) == (["run"], [])
 
 
+def test_cli_imports_only_public_library_names():
+    """Every subcommand goes through the library's public functions, so
+    ``bisim`` reaches its verdict through ``bisimilar`` in both modes."""
+    tree = ast.parse((SRC / "starpar" / "cli.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+    assert "bisimilar" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2

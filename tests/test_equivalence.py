@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -9,6 +12,8 @@ from starpar import (
     Action,
     Automaton,
     Transition,
+    automaton_from_json,
+    automaton_to_json,
     bisimilar,
     check_bisimulation,
     derive_automaton,
@@ -18,6 +23,7 @@ from starpar import (
     scc_decompose,
 )
 from starpar.equivalence import _coarsest_partition
+from tests.corpus import refinement_pairs
 from tests.samples import TWO_EXIT_LOOP_EXPR, two_exit_loop_automaton
 from tests.oracles import (
     is_isomorphism,
@@ -66,6 +72,79 @@ class TestBisimilar:
         b = two_exit_loop_automaton()
         result = bisimilar(a, b)
         assert check_bisimulation(a, b, result.witness_relation)
+
+
+class TestWitnessView:
+    """``witness_relation`` is a read-only set view over the partition that
+    stores no pairs, and behaves as the frozenset of its pairs."""
+
+    @staticmethod
+    def _witness(left="a+a", right="a"):
+        a = derive_automaton(parse_expression(left))
+        b = derive_automaton(parse_expression(right))
+        return a, b, bisimilar(a, b).witness_relation
+
+    def test_membership_is_false_for_anything_but_an_in_range_pair(self):
+        a, b, w = self._witness()
+        assert (0, 0) in w and (1, 1) in w and (0, 1) not in w
+        outside = [(0, -1), (-1, 0), (a.n_states, 0), (0, b.n_states), (0.0, 0), (0,), (0, 0, 0)]
+        for item in [*outside, 0, "ab", None]:
+            assert item not in w, item
+
+    def test_set_operators_return_frozensets(self):
+        _, _, w = self._witness()
+        assert w | {(0, 0)} == frozenset(w) and type(w | {(0, 0)}) is frozenset
+        assert w | {(5, 5)} == {(0, 0), (1, 1), (5, 5)}
+        assert w & {(0, 0), (3, 3)} == {(0, 0)} and type(w & set()) is frozenset
+        assert w - {(0, 0)} == {(1, 1)} and type(w - set()) is frozenset
+        assert w ^ {(0, 0), (2, 2)} == {(1, 1), (2, 2)}
+        assert {(2, 2)} | w == {(0, 0), (1, 1), (2, 2)}
+        assert w <= {(0, 0), (1, 1)} and w.isdisjoint({(0, 1)})
+
+    def test_repr_lists_the_pairs(self):
+        a, b, w = self._witness()
+        assert repr(w) == "_Related({(0, 0), (1, 1)})"
+        assert " at 0x" not in repr(bisimilar(a, b))
+
+    def test_equal_and_hashed_as_its_frozenset(self):
+        _, _, w = self._witness(TWO_EXIT_LOOP_EXPR, TWO_EXIT_LOOP_EXPR)
+        assert w == frozenset(w) and frozenset(w) == w
+        assert hash(w) == hash(frozenset(w))
+        assert len(w) == len(frozenset(w))
+
+    def test_iterates_in_sorted_order_over_the_refinement_pairs(self):
+        checked = 0
+        for _, a, b in refinement_pairs():
+            w = bisimilar(a, b).witness_relation
+            if w is not None:
+                pairs = list(w)
+                assert pairs == sorted(w)
+                assert len(pairs) == len(set(pairs)) == len(w)
+                checked += 1
+        assert checked > 300
+
+    def test_result_pickles_and_deep_copies(self):
+        a = derive_automaton(parse_expression(TWO_EXIT_LOOP_EXPR))
+        result = bisimilar(a, two_exit_loop_automaton())
+        for twin in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+            assert twin == result and hash(twin) == hash(result)
+            assert list(twin.witness_relation) == list(result.witness_relation)
+
+    def test_five_way_witness_takes_no_memory_per_pair(self):
+        """91 476 related pairs, and the call's peak stays under 1 MiB; a
+        frozenset of them takes about 10 MiB.  The first call builds both
+        automata's cached rows, so the second measures refinement and the view."""
+        a = derive_automaton(parse_expression(" || ".join(["(a.b+c)*.d"] * 5)))
+        b = automaton_from_json(automaton_to_json(a))
+        bisimilar(a, b)
+        tracemalloc.start()
+        try:
+            result = bisimilar(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.bisimilar and len(result.witness_relation) == 91_476
+        assert peak < 2**20
 
 
 class TestCheckBisimulation:
